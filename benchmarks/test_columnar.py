@@ -1,15 +1,14 @@
-"""Bench: the columnar data plane vs the REPRO_SCALAR oracle.
+"""Bench: the columnar data plane, checked against the per-event reference.
 
-Times the vectorized device and content update-rate evaluations under
-the benchmark timer, then runs the identical workload through the
-scalar per-event path and asserts bit-identical reports — the parity
-contract — plus the speedup the columnar refactor exists for. Route
-caches are warmed before either measurement so both paths time the
-evaluation itself, not BGP route computation. Speedups are recorded
-through the existing obs metrics plumbing (``bench.columnar.*``).
+Times the vectorized device, per-day and content update-rate
+evaluations under the benchmark timer, then recomputes the identical
+workload with the per-event loops in ``tests/reference`` and asserts
+identical reports — the parity contract. Route caches are warmed before
+the measurement so it times the evaluation itself, not BGP route
+computation. Times are recorded through the existing obs metrics
+plumbing (``bench.columnar.*``).
 """
 
-import os
 import time
 
 from conftest import run_once
@@ -21,25 +20,15 @@ from repro.core import (
     ForwardingStrategy,
     per_day_update_rates,
 )
-from repro.workload import SCALAR_ENV
+
+from tests.reference.evaluators import (
+    content_report,
+    device_report,
+    per_day_rates,
+)
 
 
-def _scalar(func, *args):
-    """Run ``func`` under REPRO_SCALAR=1, returning (result, seconds)."""
-    previous = os.environ.get(SCALAR_ENV)
-    os.environ[SCALAR_ENV] = "1"
-    try:
-        start = time.perf_counter()
-        result = func(*args)
-        return result, time.perf_counter() - start
-    finally:
-        if previous is None:
-            del os.environ[SCALAR_ENV]
-        else:
-            os.environ[SCALAR_ENV] = previous
-
-
-def test_device_columnar_vs_scalar(benchmark, world, scale):
+def test_device_columnar(benchmark, world, scale):
     columns = world.device_event_columns
     evaluator = DeviceUpdateCostEvaluator(world.routeviews, world.oracle)
     evaluator.evaluate(columns)  # warm the per-prefix route caches
@@ -47,44 +36,33 @@ def test_device_columnar_vs_scalar(benchmark, world, scale):
     start = time.perf_counter()
     vector = run_once(benchmark, evaluator.evaluate, columns)
     vector_s = time.perf_counter() - start
-    scalar, scalar_s = _scalar(evaluator.evaluate, columns)
+    reference = device_report(world.routeviews, world.oracle, columns)
 
-    assert vector.rates == scalar.rates
-    assert vector.updates == scalar.updates
-    assert vector.num_events == scalar.num_events
+    assert vector.rates == reference.rates
+    assert vector.updates == reference.updates
+    assert vector.num_events == reference.num_events
 
-    speedup = scalar_s / max(vector_s, 1e-9)
     obs.gauge("bench.columnar.device.vector_s", vector_s)
-    obs.gauge("bench.columnar.device.scalar_s", scalar_s)
-    obs.gauge("bench.columnar.device.speedup", speedup)
     print(
         f"device update rates [{scale.label}]: {len(columns)} events, "
-        f"vector {vector_s:.3f}s vs scalar {scalar_s:.3f}s "
-        f"({speedup:.1f}x)"
+        f"vector {vector_s:.3f}s, parity ok"
     )
-    if scale.label == "paper":
-        assert speedup >= 3.0, (
-            f"columnar device evaluation only {speedup:.1f}x faster "
-            f"than the scalar oracle at paper scale"
-        )
 
 
-def test_per_day_columnar_vs_scalar(benchmark, world, scale):
+def test_per_day_columnar(benchmark, world, scale):
     columns = world.device_event_columns
     evaluator = DeviceUpdateCostEvaluator(world.routeviews, world.oracle)
     evaluator.evaluate(columns)  # warm caches
 
     vector = run_once(benchmark, per_day_update_rates, evaluator, columns)
-    scalar, scalar_s = _scalar(per_day_update_rates, evaluator, columns)
-    assert vector == scalar
-    obs.gauge("bench.columnar.per_day.scalar_s", scalar_s)
+    assert vector == per_day_rates(world.routeviews, world.oracle, columns)
     print(
         f"per-day update rates [{scale.label}]: "
         f"{len(vector)} routers x {len(columns.days())} days, parity ok"
     )
 
 
-def test_content_columnar_vs_scalar(benchmark, world, scale):
+def test_content_columnar(benchmark, world, scale):
     meas = world.popular_measurement
     evaluator = ContentUpdateCostEvaluator(world.routeviews, world.oracle)
     strategy = ForwardingStrategy.CONTROLLED_FLOODING
@@ -93,18 +71,14 @@ def test_content_columnar_vs_scalar(benchmark, world, scale):
     start = time.perf_counter()
     vector = run_once(benchmark, evaluator.evaluate, meas, strategy)
     vector_s = time.perf_counter() - start
-    scalar, scalar_s = _scalar(evaluator.evaluate, meas, strategy)
+    reference = content_report(world.routeviews, world.oracle, meas, strategy)
 
-    assert vector.rates == scalar.rates
-    assert vector.updates == scalar.updates
-    assert vector.num_events == scalar.num_events
+    assert vector.rates == reference.rates
+    assert vector.updates == reference.updates
+    assert vector.num_events == reference.num_events
 
-    speedup = scalar_s / max(vector_s, 1e-9)
     obs.gauge("bench.columnar.content.vector_s", vector_s)
-    obs.gauge("bench.columnar.content.scalar_s", scalar_s)
-    obs.gauge("bench.columnar.content.speedup", speedup)
     print(
         f"content update rates [{scale.label}]: "
-        f"{vector.num_events} events, vector {vector_s:.3f}s vs "
-        f"scalar {scalar_s:.3f}s ({speedup:.1f}x)"
+        f"{vector.num_events} events, vector {vector_s:.3f}s, parity ok"
     )

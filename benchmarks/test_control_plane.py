@@ -1,19 +1,16 @@
-"""Bench: the array-native control plane vs its scalar ancestors.
+"""Bench: the array-native control plane.
 
-Two measurements the refactor exists for:
+Two measurements:
 
 * **cold oracle build** — one frontier-batched sweep over every
-  destination (``routes_to_many``) against the per-destination dict
-  BFS (``_compute``) it replaced, with a full parity check;
+  destination (``routes_to_many``), spot-checked against the dict-BFS
+  reference in ``tests/reference``;
 * **shared-memory fan-out** — ``run_experiments`` with ``--jobs``-style
   pooling, asserting through the metrics stream that workers attach
-  the parent's exported World instead of rebuilding or unpickling
-  their own (``shm.worker.attached`` up, the event-columns pickle
-  path never taken) and that every segment is unlinked at shutdown.
+  the parent's exported World (``shm.worker.attached`` up) and that
+  every segment is unlinked at shutdown.
 
-Speedups are recorded as ``bench.control_plane.*`` gauges; the hard
-parity/attach assertions hold at any scale, the speedup floors only at
-paper scale where the constant factors are amortized.
+Times are recorded as ``bench.control_plane.*`` gauges.
 """
 
 import time
@@ -24,7 +21,7 @@ from repro import obs
 from repro.engine import run_experiments
 from repro.routing import RoutingOracle
 
-from test_columnar import _scalar
+from tests.reference.routing import assert_same_routes, compute_routes
 
 
 def test_oracle_cold_build(benchmark, world, scale):
@@ -39,33 +36,16 @@ def test_oracle_cold_build(benchmark, world, scale):
     batch = run_once(benchmark, cold_batch)
     vector_s = time.perf_counter() - start
 
-    def cold_scalar():
-        oracle = RoutingOracle(topo)
-        return {dest: oracle._compute(dest) for dest in dests}
-
-    tables, scalar_s = _scalar(cold_scalar)
-
     for dest in dests[:: max(1, len(dests) // 25)]:  # spot-check parity
-        materialized = batch.materialize(dest)
-        reference = tables[dest]
-        assert set(materialized) == set(reference)
-        for asn, bp in materialized.items():
-            assert bp.path == reference[asn].path
+        assert_same_routes(
+            batch.materialize(dest), compute_routes(topo, dest), dest
+        )
 
-    speedup = scalar_s / max(vector_s, 1e-9)
     obs.gauge("bench.control_plane.oracle.vector_s", vector_s)
-    obs.gauge("bench.control_plane.oracle.scalar_s", scalar_s)
-    obs.gauge("bench.control_plane.oracle.speedup", speedup)
     print(
         f"cold oracle build [{scale.label}]: {len(dests)} dests, "
-        f"frontier {vector_s:.3f}s vs scalar {scalar_s:.3f}s "
-        f"({speedup:.1f}x)"
+        f"frontier {vector_s:.3f}s, parity ok"
     )
-    if scale.label == "paper":
-        assert speedup >= 3.0, (
-            f"frontier oracle build only {speedup:.1f}x faster than "
-            f"per-destination BFS at paper scale"
-        )
 
 
 _FANOUT_EXPERIMENTS = ["fig8", "fig10", "fig12"]
@@ -90,23 +70,14 @@ def test_pooled_workers_attach_shared_world(benchmark, scale):
     counters = snap["counters"]
     # Every worker-side experiment saw an attached segment...
     assert counters.get("shm.worker.attached", 0) >= len(records)
-    # ...no worker fell back to unpickling the event table...
-    assert counters.get("world.event_columns.pickle_path", 0) == 0
     # ...and the parent unlinked everything it created.
     assert counters.get("shm.segments.created", 0) >= 1
     assert counters.get("shm.leaked", 0) == 0
     assert snap["gauges"].get("shm.segments.open", 0) == 0
 
-    (_, scalar_snap, _), scalar_s = _scalar(_pooled, scale, 2)
-    assert scalar_snap["counters"].get("shm.worker.attached", 0) == 0
-
-    speedup = scalar_s / max(pooled_s, 1e-9)
     obs.gauge("bench.control_plane.fanout.array_s", pooled_s)
-    obs.gauge("bench.control_plane.fanout.scalar_s", scalar_s)
-    obs.gauge("bench.control_plane.fanout.speedup", speedup)
     print(
         f"pooled fan-out [{scale.label}]: {len(records)} experiments, "
-        f"shared-world {pooled_s:.3f}s vs scalar pool {scalar_s:.3f}s "
-        f"({speedup:.1f}x), "
+        f"shared-world {pooled_s:.3f}s, "
         f"{counters.get('shm.worker.attached', 0):.0f} worker attaches"
     )

@@ -79,7 +79,7 @@ import json
 import os
 import sys
 from time import perf_counter, time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from . import __version__, obs
 from .engine import (
@@ -91,7 +91,6 @@ from .engine import (
     all_specs,
     experiment_names,
     get_spec,
-    load_registry,
     run_config_hash,
     run_experiments,
     stitch_records,
@@ -99,31 +98,7 @@ from .engine import (
 from .experiments import DEFAULT_SCALE, SMALL_SCALE, World
 from .experiments.report import format_band, format_delta, render_table
 
-__all__ = ["main", "EXPERIMENTS"]
-
-
-def _compat_runner(name: str):
-    """A ``runner(world) -> str`` closure for the legacy dict below."""
-
-    def runner(world: Optional[World]) -> str:
-        spec = get_spec(name)
-        return spec.format(spec.execute(world if spec.needs_world else None))
-
-    return runner
-
-
-def _experiments_table() -> Dict[str, Tuple[str, object]]:
-    load_registry()
-    return {
-        spec.name: (spec.description, _compat_runner(spec.name))
-        for spec in all_specs()
-    }
-
-
-#: Experiment name -> (description, runner) — the registry rendered in
-#: the shape this module historically exported. Runners take a World
-#: (or None for world-free experiments) and return formatted text.
-EXPERIMENTS: Dict[str, Tuple[str, object]] = _experiments_table()
+__all__ = ["main"]
 
 
 def _seed_type(text: str) -> int:
@@ -951,8 +926,8 @@ def _compare(run_a: str, run_b: str, ledger_dir: Optional[str],
     """Diff two ledger entries: wall time, counters, series digests.
 
     With ``fail_on_diff``, a digest mismatch in any shared experiment
-    exits 1 — the CI gate that holds the vectorized evaluators to
-    bit-identical results against the ``REPRO_SCALAR=1`` oracle.
+    exits 1 — the CI gate that holds chaos-killed and resumed runs to
+    the digests of a clean serial run.
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr

@@ -22,6 +22,9 @@ from ..mobility import MobilityEvent
 from ..net import IPv4Address, IPv4Prefix
 from ..routing import RoutingOracle, VantagePoint
 from ..topology import IntradomainNetwork
+from ..workload import require_numpy
+
+np = require_numpy()
 
 __all__ = [
     "intradomain_displaced",
@@ -84,12 +87,10 @@ class InterdomainPortMap:
         Entry ``i`` is :meth:`port_for_prefix` of ``prefixes[i]`` with
         ``None`` encoded as ``-1`` — the per-router LUT the vectorized
         device evaluator gathers through with one fancy-index per
-        column. Shares (and warms) the same per-prefix cache the scalar
-        path uses, so mixing the two paths never recomputes a route.
+        column. Shares (and warms) the per-prefix cache of
+        :meth:`port_for_prefix`, so mixing the two never recomputes a
+        route.
         """
-        from ..workload import require_numpy
-
-        np = require_numpy()
         missing = [p for p in prefixes if p not in self._cache]
         if missing:
             filled = self._shared_next_hops(missing)
@@ -113,10 +114,6 @@ class InterdomainPortMap:
         the LUT with the very ranking this falls back to.
         """
         try:
-            from ..workload import scalar_mode
-
-            if scalar_mode():
-                return None
             from ..engine import shm as shm_world
 
             filled = shm_world.attached_next_hops(

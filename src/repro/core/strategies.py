@@ -72,9 +72,9 @@ class ContentPortMapper:
         """Best routes for a batch of addresses, in given order.
 
         Returns ``[Optional[Route], ...]`` aligned with ``addrs``,
-        filling the same per-address/per-prefix caches the scalar path
-        uses — the gather step the vectorized content evaluator turns
-        into rank/port arrays.
+        filling the per-address/per-prefix caches of
+        :meth:`best_route_for_address` — the gather step the vectorized
+        content evaluator turns into rank/port arrays.
         """
         return [self.best_route_for_address(addr) for addr in addrs]
 

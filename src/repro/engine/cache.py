@@ -47,7 +47,10 @@ import warnings
 from typing import Any, Callable, Dict, Optional
 
 from .. import obs
+from ..workload import require_numpy
 from .chaos import ChaosConfig
+
+np = require_numpy()
 
 __all__ = [
     "ArtifactCache",
@@ -185,9 +188,6 @@ def _encode_dtype(dtype) -> Any:
 
 def _decode_dtype(spec: Any):
     """Rebuild a dtype from :func:`_encode_dtype`'s description."""
-    from ..workload import require_numpy
-
-    np = require_numpy()
     if isinstance(spec, list):
         return np.dtype([tuple(field) for field in spec])
     return np.dtype(spec)
@@ -341,9 +341,6 @@ class ArtifactCache:
         zero-copy memory-mapped views. Failure handling matches
         :meth:`store`: unwritable means warn once and run uncached.
         """
-        from ..workload import require_numpy
-
-        np = require_numpy()
         chunks = []
         specs = []
         offset = 0
@@ -406,8 +403,6 @@ class ArtifactCache:
         miss; an entry written by a different :data:`GENERATOR_VERSION`
         is a ``cache.version_mismatch`` miss. Both unlink the file.
         """
-        from ..workload import require_numpy
-
         path = self._array_path(key)
         try:
             with open(path, "rb") as handle:
@@ -434,7 +429,6 @@ class ArtifactCache:
             except OSError:
                 pass
             return None
-        np = require_numpy()
         data_start = len(_ARRAY_MAGIC) + len(header_line)
         try:
             raw = np.memmap(path, mode="r", dtype=np.uint8,

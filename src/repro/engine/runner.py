@@ -666,8 +666,8 @@ def run_tasks(
         cache_root = cache.root if cache is not None else None
         # Export the World once, parent-side, so workers attach to one
         # shared-memory substrate instead of each unpickling their own
-        # (no-op in scalar mode, when nothing needs a world, or when a
-        # sweep mixes scales — then the cache serves per-cell worlds).
+        # (no-op when nothing needs a world, or when a sweep mixes
+        # scales — then the cache serves per-cell worlds).
         # The finally guarantees the segment is unlinked on every exit
         # path — clean completion, ^C, watchdog kills, chaos kills.
         world_scales = {

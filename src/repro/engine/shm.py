@@ -37,8 +37,8 @@ Lifecycle discipline — the part chaos mode exists to prove:
 The attach initializer never raises: a worker that cannot attach (or
 whose manifest does not match its World identity) silently falls back
 to the cache/rebuild path — shared memory is an accelerator, not a
-correctness dependency. ``REPRO_SCALAR=1`` runs skip the export
-entirely so the parity oracle keeps exercising the scalar paths.
+correctness dependency: the golden-digest test runs the suite pooled
+and holds it to the same digests as an in-process run.
 """
 
 from __future__ import annotations
@@ -46,6 +46,9 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from .. import obs
+from ..workload import require_numpy
+
+np = require_numpy()
 
 __all__ = [
     "WorldManifest",
@@ -88,9 +91,6 @@ class _Attached:
     """A worker's live view of the parent's segment."""
 
     def __init__(self, manifest: WorldManifest, shm) -> None:
-        from ..workload import require_numpy
-
-        np = require_numpy()
         self.manifest = manifest
         self.shm = shm
         # The numpy views below pin the mmap for the worker's whole
@@ -150,17 +150,12 @@ def export_world(scale, cache=None) -> Optional[WorldManifest]:
 
     Returns the manifest to hand to :func:`attach_shared_world` via the
     pool initializer, or None when export is impossible (no shared
-    memory support, scalar mode, numpy missing, any build failure) —
-    callers treat None as "workers go through the cache as before".
+    memory support, any build failure) — callers treat None as
+    "workers go through the cache as before".
     """
     try:
         from multiprocessing import shared_memory
 
-        from ..workload import require_numpy, scalar_mode
-
-        if scalar_mode():
-            return None
-        np = require_numpy()
         from ..experiments.context import World
         from ..routing.frontier import rank_vectors
 
@@ -349,9 +344,6 @@ def attached_next_hops(vantage_name: str, prefixes) -> Optional[Any]:
     keys = _ATTACHED._prefix_keys
     if lut is None or keys is None or len(keys) == 0:
         return None
-    from ..workload import require_numpy
-
-    np = require_numpy()
     wanted = np.array(
         [_pack_prefix(p.network, p.length) for p in prefixes],
         dtype=np.int64,

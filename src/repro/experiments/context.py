@@ -82,15 +82,6 @@ SMALL_SCALE = ExperimentScale(
 )
 
 
-def _array_mode() -> bool:
-    """True when array fast paths (shm, mmap artifacts) may serve."""
-    try:
-        from ..workload import scalar_mode
-    except ImportError:  # numpy-free environment: scalar only
-        return False
-    return not scalar_mode()
-
-
 def active_scale() -> ExperimentScale:
     """The scale selected via the ``REPRO_SCALE`` environment variable.
 
@@ -184,7 +175,7 @@ class World:
         """
         if self.cache is None or self._oracle is None:
             return
-        if _array_mode() and self._oracle.table_dirty > 0:
+        if self._oracle.table_dirty > 0:
             # The array control plane's tables persist as a flat-buffer
             # artifact warm runs memory-map — no unpickle on reload.
             buffers = self._oracle.export_route_tables()
@@ -248,8 +239,6 @@ class World:
         topology and every destination's table are zero-copy views —
         ``routes_to`` just materializes path tuples on demand.
         """
-        if not _array_mode():
-            return False
         try:
             from ..engine import shm as shm_world
             from ..routing.frontier import CSRTopology
@@ -271,7 +260,7 @@ class World:
 
     def _adopt_table_artifact(self) -> None:
         """Memory-map previously persisted array route tables, if any."""
-        if not _array_mode() or self.cache is None:
+        if self.cache is None:
             return
         loaded = self.cache.load_arrays(
             self.cache.key("oracle-tables", **self._topology_params())
@@ -361,13 +350,11 @@ class World:
                 seed=self.scale.seed,
                 layout=DeviceEventColumns.LAYOUT_VERSION,
             )
-            if _array_mode() and self.cache is not None:
+            if self.cache is not None:
                 self._event_columns = self._event_columns_arrays(
                     DeviceEventColumns, params
                 )
             else:
-                if self.cache is not None:
-                    obs.incr("world.event_columns.pickle_path")
                 self._event_columns = self._artifact(
                     "event-columns",
                     lambda: self.workload.as_columns(),
@@ -378,9 +365,9 @@ class World:
     def _event_columns_arrays(self, columns_cls, params):
         """The event table as an array artifact: mmap hit or build+store.
 
-        Replaces the pickle entry for this artifact in array mode — a
-        warm run maps the structured table straight off disk instead of
-        unpickling an object graph.
+        Stored as flat buffers rather than a pickle, so a warm run maps
+        the structured table straight off disk instead of unpickling an
+        object graph.
         """
         key = self.cache.key("event-columns", **params)
         with obs.span("world.event-columns"):

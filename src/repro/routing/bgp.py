@@ -16,10 +16,11 @@ Routes propagate under the standard export rules:
 
 Each AS selects one best route per destination with the canonical
 preference: customer-learned > peer-learned > provider-learned, then
-shortest AS path, then lowest next-hop ASN. The per-destination
-computation is the usual three-stage breadth-first sweep (customer
-routes up the provider DAG, one peer hop, provider routes down), which
-yields exactly the stable state of this policy system.
+shortest AS path, then lowest next-hop ASN. The computation is the
+usual three-stage breadth-first sweep (customer routes up the provider
+DAG, one peer hop, provider routes down), which yields exactly the
+stable state of this policy system; :mod:`.frontier` runs it
+frontier-batched over integer arrays.
 
 A :class:`VantagePoint` is a route collector attached to a set of
 neighbor ASes with explicit business relationships. It originates
@@ -31,7 +32,6 @@ if the neighbor's export policy towards the collector allows it.
 from __future__ import annotations
 
 import enum
-import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -61,19 +61,6 @@ class PathType(enum.Enum):
 _EXPORTABLE_UPWARD = (PathType.ORIGIN, PathType.CUSTOMER)
 
 
-def _array_mode() -> bool:
-    """True when the frontier-batched array control plane should serve.
-
-    ``REPRO_SCALAR=1`` (or a numpy-free interpreter) routes everything
-    through the per-destination dict reference implementation instead.
-    """
-    try:
-        from ..workload import scalar_mode
-    except ImportError:  # numpy-free environment: scalar only
-        return False
-    return not scalar_mode()
-
-
 @dataclass(frozen=True)
 class BestPath:
     """An AS's best route to some destination AS."""
@@ -84,15 +71,6 @@ class BestPath:
     def length(self) -> int:
         """Number of ASNs on the path."""
         return len(self.path)
-
-
-def _better(a: Tuple[int, ...], b: Tuple[int, ...]) -> bool:
-    """Within one path type: shorter path wins, then lexicographic path.
-
-    Lexicographic comparison on the ASN tuple subsumes the lowest-
-    next-hop tiebreak and makes the oracle fully deterministic.
-    """
-    return (len(a), a) < (len(b), b)
 
 
 class RoutingOracle:
@@ -198,14 +176,11 @@ class RoutingOracle:
             return cached
         if dest_asn not in self._topo.ases:
             raise KeyError(f"unknown destination AS{dest_asn}")
-        if _array_mode():
-            from .frontier import materialize_routes
+        from .frontier import materialize_routes
 
-            engine = self.frontier_engine()
-            ptype, plen, parent, _entry = engine.table_for(dest_asn)
-            result = materialize_routes(engine.csr, ptype, plen, parent)
-        else:
-            result = self._compute(dest_asn)
+        engine = self.frontier_engine()
+        ptype, plen, parent, _entry = engine.table_for(dest_asn)
+        result = materialize_routes(engine.csr, ptype, plen, parent)
         self._cache[dest_asn] = result
         self._dirty += 1
         obs.incr("oracle.demand_computations")
@@ -228,75 +203,6 @@ class RoutingOracle:
     def best_path(self, source_asn: int, dest_asn: int) -> Optional[BestPath]:
         """The best policy path from ``source_asn`` to ``dest_asn``."""
         return self.routes_to(dest_asn).get(source_asn)
-
-    def _compute(self, dest: int) -> Dict[int, BestPath]:
-        topo = self._topo
-        info: Dict[int, BestPath] = {dest: BestPath((dest,), PathType.ORIGIN)}
-
-        # Stage 1 — customer routes: propagate up provider links, level
-        # by level (BFS), so every AS in the destination's provider
-        # cone gets its shortest customer-learned path.
-        current: Dict[int, Tuple[int, ...]] = {dest: (dest,)}
-        while current:
-            candidates: Dict[int, Tuple[int, ...]] = {}
-            for child in sorted(current):
-                child_path = current[child]
-                for provider in sorted(topo.ases[child].providers):
-                    if provider in info:
-                        continue
-                    cand = (provider,) + child_path
-                    prev = candidates.get(provider)
-                    if prev is None or _better(cand, prev):
-                        candidates[provider] = cand
-            for asn, path in candidates.items():
-                info[asn] = BestPath(path, PathType.CUSTOMER)
-            current = candidates
-
-        # Stage 2 — peer routes: one peering hop off any AS holding a
-        # customer/origin route. Only ASes that did not get a customer
-        # route take one (customer routes are strictly preferred).
-        peer_adds: Dict[int, Tuple[int, ...]] = {}
-        holders = dict(info)
-        for asn in sorted(topo.ases):
-            if asn in info:
-                continue
-            best: Optional[Tuple[int, ...]] = None
-            for peer in sorted(topo.ases[asn].peers):
-                held = holders.get(peer)
-                if held is None:
-                    continue
-                cand = (asn,) + held.path
-                if best is None or _better(cand, best):
-                    best = cand
-            if best is not None:
-                peer_adds[asn] = best
-        for asn, path in peer_adds.items():
-            info[asn] = BestPath(path, PathType.PEER)
-
-        # Stage 3 — provider routes: propagate down customer links from
-        # every AS that has a route, in order of total path length
-        # (Dijkstra with unit weights and multi-source initialization;
-        # sources start at their existing path lengths).
-        heap: List[Tuple[int, Tuple[int, ...], int]] = []
-        for asn, bp in info.items():
-            for customer in topo.ases[asn].customers:
-                if customer in info:
-                    continue
-                cand = (customer,) + bp.path
-                heapq.heappush(heap, (len(cand), cand, customer))
-        while heap:
-            _, path, asn = heapq.heappop(heap)
-            if asn in info:
-                continue
-            if asn in path[1:]:
-                continue  # loop prevention
-            info[asn] = BestPath(path, PathType.PROVIDER)
-            for customer in topo.ases[asn].customers:
-                if customer in info:
-                    continue
-                cand = (customer,) + path
-                heapq.heappush(heap, (len(cand), cand, customer))
-        return info
 
 
 @dataclass
@@ -418,21 +324,10 @@ class VantagePoint:
         the dense LUT the vectorized evaluators gather through instead
         of calling :meth:`fib_best` per event.
         """
-        from ..workload import require_numpy
+        from .frontier import next_hop_table_batch
 
-        if _array_mode():
-            from .frontier import next_hop_table_batch
-
-            with obs.span("routing.batch.next_hop_table"):
-                table = next_hop_table_batch(self, oracle, prefixes)
-            obs.incr("vantage.next_hop_table.prefixes", len(prefixes))
-            return table
-        np = require_numpy()
-        table = np.full(len(prefixes), -1, dtype=np.int64)
-        for i, prefix in enumerate(prefixes):
-            best = self.fib_best(oracle, prefix)
-            if best is not None:
-                table[i] = best.next_hop
+        with obs.span("routing.batch.next_hop_table"):
+            table = next_hop_table_batch(self, oracle, prefixes)
         obs.incr("vantage.next_hop_table.prefixes", len(prefixes))
         return table
 

@@ -1,15 +1,16 @@
 """Array-native control plane: frontier-batched BGP over CSR arrays.
 
-The scalar oracle (:meth:`repro.routing.bgp.RoutingOracle._compute`)
-walks Python dicts per destination; at paper scale that BFS dominates
-every cold run. This module re-expresses the same three-stage
-Gao-Rexford propagation as frontier-batched operations over integer
-arrays: the AS graph lives in CSR form (:class:`CSRTopology`), each
-destination's best-route table is three parallel vectors — path type,
-path length, and parent (next AS toward the destination) — and every
-propagation level is one scatter-min instead of a dict loop.
+The textbook three-stage Gao-Rexford sweep walks Python dicts one
+destination at a time, comparing whole path tuples; at paper scale
+that BFS dominated every cold run. This module expresses the same
+propagation as frontier-batched operations over integer arrays: the AS
+graph lives in CSR form (:class:`CSRTopology`), each destination's
+best-route table is three parallel vectors — path type, path length,
+and parent (next AS toward the destination) — and every propagation
+level is one scatter-min instead of a dict loop. The dict sweep
+survives as the parity tests' reference (``tests/reference/routing.py``).
 
-Bit-identical parity with the scalar oracle rests on three provable
+Bit-identical parity with the dict sweep rests on three provable
 tiebreak reductions:
 
 * **Stage 1 (customer routes up provider links).** All candidates at
@@ -24,7 +25,7 @@ tiebreak reductions:
   multi-source Dijkstra is level-synchronous BFS on total path length;
   equal-length candidates from distinct parents differ first at the
   parent ASN, so the winner is the minimum parent ASN in the level.
-  The scalar loop-prevention test (``asn in path[1:]``) is provably
+  The dict sweep's loop-prevention test (``asn in path[1:]``) is provably
   redundant — every AS on a finalized path is already routed.
 
 Full :class:`~repro.routing.bgp.BestPath` tuples are reconstructed by
@@ -99,8 +100,8 @@ class CSRTopology:
     Node ids are indices into the sorted ASN vector, so ascending index
     order *is* ascending ASN order — which is what lets every "lowest
     ASN" tiebreak become a plain integer minimum. Neighbor lists are
-    sorted, matching the deterministic iteration order of the scalar
-    oracle.
+    sorted, matching the deterministic iteration order of the dict
+    sweep.
     """
 
     #: Buffer names in the flat export (shared memory / array artifacts).
@@ -293,7 +294,8 @@ class RouteTableBatch:
         return int(hit[0])
 
     def materialize(self, dest_asn: int):
-        """Row ``dest_asn`` as the scalar-oracle ``{asn: BestPath}`` dict."""
+        """Row ``dest_asn`` as the ``{asn: BestPath}`` dict ``routes_to``
+        returns."""
         d = self.row(dest_asn)
         return materialize_routes(
             self.csr, self.ptype[d], self.plen[d], self.parent[d],
@@ -319,7 +321,7 @@ def _path_types():
 
 
 def materialize_routes(csr: CSRTopology, ptype, plen, parent):
-    """Rebuild the scalar oracle's ``{asn: BestPath}`` dict from arrays.
+    """Rebuild a destination's ``{asn: BestPath}`` dict from arrays.
 
     Parent chains are followed in ascending path-length order so every
     path tuple extends an already-built parent tuple (paths share
@@ -552,8 +554,8 @@ def next_hop_table_batch(vantage, oracle, prefixes) -> "np.ndarray":
     )
 
     # Selective announcement (§3.2 prefix diversity), vectorized: the
-    # chosen provider's node id must match the entry node, with the
-    # scalar path's strand fallback.
+    # chosen provider's node id must match the entry node, with
+    # VantagePoint._apply_selective_announcement's strand fallback.
     if vantage.selective_fraction > 0.0:
         prov_lists = [sorted(topo.ases[int(o)].providers)
                       for o in uniq_origins]

@@ -24,11 +24,12 @@ Layout
 
 Parity contract
 ---------------
-Vectorized evaluation is a pure re-expression of the scalar loops: the
-update counts, rates, and therefore the ledger series digests are
-bit-identical. Setting ``REPRO_SCALAR=1`` forces every evaluator back
-onto the original per-event path — the parity oracle the golden tests
-and the CI parity job compare against.
+Vectorized evaluation is a pure re-expression of the per-event
+definitions: the update counts, rates, and therefore the ledger series
+digests are bit-identical to a per-event loop. Those loops live in
+``tests/reference`` as the parity tests' oracle, and
+``tests/golden/digests-small.json`` pins every experiment's series
+digests.
 
 numpy is load-bearing here (declared with a ``>=1.22`` floor in
 ``pyproject.toml``); importing this package with numpy missing or too
@@ -37,14 +38,10 @@ old fails loudly via :func:`require_numpy`.
 
 from __future__ import annotations
 
-import os
-
 __all__ = [
     "MIN_NUMPY_VERSION",
     "require_numpy",
     "numpy_version_ok",
-    "scalar_mode",
-    "SCALAR_ENV",
     "DeviceEventColumns",
     "EventColumns",
     "AddrsMatrix",
@@ -54,10 +51,6 @@ __all__ = [
 #: ``np.unique(return_inverse=...)`` behaviour we rely on is stable
 #: from here on).
 MIN_NUMPY_VERSION = (1, 22)
-
-#: Environment variable forcing the scalar (per-event object loop)
-#: evaluation path — the parity oracle for the vectorized data plane.
-SCALAR_ENV = "REPRO_SCALAR"
 
 
 def numpy_version_ok(version: str) -> bool:
@@ -105,16 +98,6 @@ def require_numpy():
             f"'numpy>={floor}'"
         )
     return numpy
-
-
-def scalar_mode() -> bool:
-    """True when ``REPRO_SCALAR`` forces the per-event scalar path.
-
-    Read at evaluation time (not import time) so one process — or a
-    test using ``monkeypatch.setenv`` — can flip between the paths;
-    engine worker processes inherit the variable from the parent.
-    """
-    return os.environ.get(SCALAR_ENV, "").strip() not in ("", "0")
 
 
 from .addrs import AddrsMatrix  # noqa: E402  (needs require_numpy above)

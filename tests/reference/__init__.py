@@ -1,0 +1,20 @@
+"""Reference implementations the parity tests hold ``src/`` to.
+
+``src/`` keeps one implementation per hot path: the frontier-batched
+control plane, the vectorized evaluators and the batched convergence
+probes. Their parity oracles live here, written the plain way:
+
+:mod:`.routing`
+    The per-destination dict-BFS Gao-Rexford oracle, and a duck-typed
+    oracle over it that ``VantagePoint.fib_best`` ranks prefix by prefix.
+:mod:`.evaluators`
+    Per-event device, per-day and content update counts: loops over
+    ``interdomain_displaced`` and ``ContentPortMapper.update_for_event``.
+:mod:`.convergence`
+    Arrival times from BFS hop distances, and per-source, per-probe
+    outage walks over ``ConvergenceSimulator.deliver`` and
+    ``deliver_under_faults``.
+
+The whole-suite regression oracle is ``tests/golden/digests-small.json``,
+checked by ``tests/test_golden_digests.py``.
+"""

@@ -1,11 +1,12 @@
-"""Golden parity tests: vectorized evaluators vs the REPRO_SCALAR oracle.
+"""Golden parity tests: vectorized evaluators vs the per-event reference.
 
 The columnar data plane's contract is *bit-identical* results: the
 vectorized device/content evaluators and ``per_day_update_rates`` must
 produce exactly the reports — and therefore exactly the ledger series
-digests — that the original per-event scalar loops produce. These tests
-run both paths in one process (flipping ``REPRO_SCALAR`` via
-monkeypatch) and compare everything, including digests.
+digests — that per-event loops over the public displacement and
+strategy APIs produce (``tests/reference/evaluators.py``, ranking
+routes from the dict-BFS reference oracle). These tests run both and
+compare everything, including digests.
 """
 
 import pytest
@@ -17,11 +18,16 @@ from repro.core import (
     per_day_update_rates,
 )
 from repro.mobility import MobilityEvent
-from repro.net import parse_address
 from repro.obs.history import digest_series
 from repro.routing import RoutingOracle
-from repro.workload import SCALAR_ENV, DeviceEventColumns, scalar_mode
+from repro.workload import DeviceEventColumns
 
+from tests.reference.evaluators import (
+    content_report,
+    device_report,
+    per_day_rates,
+)
+from tests.reference.routing import ReferenceOracle
 from tests.test_core_evaluator import (
     L6,
     L6B,
@@ -60,8 +66,13 @@ def report_digest(report):
 
 
 def two_routers():
-    oracle = RoutingOracle(content_internet())
-    return [vantage("vp1"), vantage("vp2")], oracle
+    """Two vantages, the array oracle, and the dict-BFS reference."""
+    topo = content_internet()
+    return (
+        [vantage("vp1"), vantage("vp2")],
+        RoutingOracle(topo),
+        ReferenceOracle(topo),
+    )
 
 
 def content_measurement():
@@ -84,36 +95,25 @@ def content_measurement():
     ])
 
 
-class TestScalarModeSwitch:
-    def test_env_values(self, monkeypatch):
-        monkeypatch.delenv(SCALAR_ENV, raising=False)
-        assert not scalar_mode()
-        monkeypatch.setenv(SCALAR_ENV, "0")
-        assert not scalar_mode()
-        monkeypatch.setenv(SCALAR_ENV, "1")
-        assert scalar_mode()
+def assert_reports_identical(vector, reference):
+    assert vector.rates == reference.rates
+    assert vector.updates == reference.updates
+    assert vector.num_events == reference.num_events
+    assert list(vector.rates) == list(reference.rates)  # dict order too
+    assert report_digest(vector) == report_digest(reference)
 
 
 class TestDeviceParity:
-    def test_reports_identical(self, monkeypatch):
-        routers, oracle = two_routers()
-        monkeypatch.setenv(SCALAR_ENV, "1")
-        scalar = DeviceUpdateCostEvaluator(routers, oracle).evaluate(
-            device_events()
-        )
-        monkeypatch.delenv(SCALAR_ENV)
+    def test_reports_identical(self):
+        routers, oracle, reference_oracle = two_routers()
+        reference = device_report(routers, reference_oracle, device_events())
         vector = DeviceUpdateCostEvaluator(routers, oracle).evaluate(
             device_events()
         )
-        assert vector.rates == scalar.rates
-        assert vector.updates == scalar.updates
-        assert vector.num_events == scalar.num_events
-        assert list(vector.rates) == list(scalar.rates)  # dict order too
-        assert report_digest(vector) == report_digest(scalar)
+        assert_reports_identical(vector, reference)
 
-    def test_columns_input_matches_list_input(self, monkeypatch):
-        routers, oracle = two_routers()
-        monkeypatch.delenv(SCALAR_ENV, raising=False)
+    def test_columns_input_matches_list_input(self):
+        routers, oracle, _ = two_routers()
         evaluator = DeviceUpdateCostEvaluator(routers, oracle)
         from_list = evaluator.evaluate(device_events())
         from_cols = evaluator.evaluate(
@@ -121,64 +121,50 @@ class TestDeviceParity:
         )
         assert report_digest(from_list) == report_digest(from_cols)
 
-    def test_scalar_accepts_columns(self, monkeypatch):
-        routers, oracle = two_routers()
+    def test_scalar_accepts_columns(self):
+        # The per-event reference replays the columnar batch's lazily
+        # rebuilt events and still agrees.
+        routers, oracle, reference_oracle = two_routers()
         columns = DeviceEventColumns.from_events(device_events())
-        monkeypatch.setenv(SCALAR_ENV, "1")
-        scalar = DeviceUpdateCostEvaluator(routers, oracle).evaluate(columns)
-        monkeypatch.delenv(SCALAR_ENV)
+        reference = device_report(routers, reference_oracle, columns)
         vector = DeviceUpdateCostEvaluator(routers, oracle).evaluate(columns)
-        assert report_digest(scalar) == report_digest(vector)
+        assert report_digest(reference) == report_digest(vector)
 
-    def test_empty_events(self, monkeypatch):
-        routers, oracle = two_routers()
-        monkeypatch.delenv(SCALAR_ENV, raising=False)
+    def test_empty_events(self):
+        routers, oracle, _ = two_routers()
         report = DeviceUpdateCostEvaluator(routers, oracle).evaluate([])
         assert report.num_events == 0
         assert set(report.rates.values()) == {0.0}
 
 
 class TestPerDayParity:
-    def test_series_identical(self, monkeypatch):
-        routers, oracle = two_routers()
-        monkeypatch.setenv(SCALAR_ENV, "1")
-        scalar = per_day_update_rates(
-            DeviceUpdateCostEvaluator(routers, oracle), device_events()
-        )
-        monkeypatch.delenv(SCALAR_ENV)
+    def test_series_identical(self):
+        routers, oracle, reference_oracle = two_routers()
+        reference = per_day_rates(routers, reference_oracle, device_events())
         vector = per_day_update_rates(
             DeviceUpdateCostEvaluator(routers, oracle), device_events()
         )
-        assert vector == scalar
-        assert list(vector) == list(scalar)
+        assert vector == reference
+        assert list(vector) == list(reference)
         digest = lambda s: digest_series(
             "per_day", ("router", "rates"),
             [[r, rates] for r, rates in s.items()],
         )
-        assert digest(vector) == digest(scalar)
+        assert digest(vector) == digest(reference)
 
-    def test_empty(self, monkeypatch):
-        routers, oracle = two_routers()
-        monkeypatch.delenv(SCALAR_ENV, raising=False)
+    def test_empty(self):
+        routers, oracle, _ = two_routers()
         evaluator = DeviceUpdateCostEvaluator(routers, oracle)
         assert per_day_update_rates(evaluator, []) == {}
 
 
 class TestContentParity:
     @pytest.mark.parametrize("strategy", list(ForwardingStrategy))
-    def test_reports_identical(self, strategy, monkeypatch):
-        routers, oracle = two_routers()
+    def test_reports_identical(self, strategy):
+        routers, oracle, reference_oracle = two_routers()
         meas = content_measurement()
-        monkeypatch.setenv(SCALAR_ENV, "1")
-        scalar = ContentUpdateCostEvaluator(routers, oracle).evaluate(
-            meas, strategy
-        )
-        monkeypatch.delenv(SCALAR_ENV)
+        reference = content_report(routers, reference_oracle, meas, strategy)
         vector = ContentUpdateCostEvaluator(routers, oracle).evaluate(
             meas, strategy
         )
-        assert vector.rates == scalar.rates
-        assert vector.updates == scalar.updates
-        assert vector.num_events == scalar.num_events
-        assert list(vector.rates) == list(scalar.rates)
-        assert report_digest(vector) == report_digest(scalar)
+        assert_reports_identical(vector, reference)
