@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..net import ContentName
+from ..stats import sequential_sum
 
 __all__ = [
     "ContentDomain",
@@ -152,7 +153,7 @@ def _heavy_tailed_counts(
     12,342 names.
     """
     weights = [1.0 / (rank ** 0.85) for rank in range(1, n + 1)]
-    scale = target_total / sum(weights)
+    scale = target_total / sequential_sum(weights)
     counts = []
     for w in weights:
         base = w * scale

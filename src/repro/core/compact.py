@@ -27,6 +27,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Set
 
+from ..stats import mean
 from ..topology import Graph
 
 __all__ = ["CompactRoutingScheme", "CompactStats"]
@@ -145,8 +146,8 @@ class CompactRoutingScheme:
                     stretches.append(self.stretch(source, dest))
         return CompactStats(
             num_landmarks=len(self._landmarks),
-            mean_table_size=sum(sizes) / len(sizes),
+            mean_table_size=mean(sizes),
             max_table_size=max(sizes),
-            mean_multiplicative_stretch=sum(stretches) / len(stretches),
+            mean_multiplicative_stretch=mean(stretches),
             max_multiplicative_stretch=max(stretches),
         )

@@ -12,6 +12,7 @@ from __future__ import annotations
 from ..core import ForwardingStrategy
 from ..core.tradeoff import TradeoffResult, evaluate_tradeoff
 from ..engine import Series, register
+from ..stats import mean
 from .context import World
 from .report import banner, render_table
 
@@ -37,9 +38,9 @@ def format_result(result: TradeoffResult) -> str:
     rows = []
     for strategy in ForwardingStrategy:
         costs = result.for_strategy(strategy)
-        mean_update = sum(c.update_rate for c in costs) / len(costs)
-        mean_copies = sum(c.avg_copies_per_packet for c in costs) / len(costs)
-        mean_entries = sum(c.table_entries for c in costs) / len(costs)
+        mean_update = mean([c.update_rate for c in costs])
+        mean_copies = mean([c.avg_copies_per_packet for c in costs])
+        mean_entries = mean([c.table_entries for c in costs])
         rows.append(
             [
                 strategy.value,

@@ -44,6 +44,7 @@ from ..faults import (
     MessageLossModel,
     RetryPolicy,
 )
+from ..stats import sequential_sum
 from ..topology import chain_topology
 from .report import banner, render_table
 
@@ -238,7 +239,7 @@ def format_result(result: FaultToleranceResult) -> str:
         [
             f"{rate * 100:.0f}%",
             f"{r.availability * 100:.1f}%",
-            f"{sum(r.outage_durations):.1f}",
+            f"{sequential_sum(r.outage_durations):.1f}",
             f"{r.max_outage():.1f}",
             f"{r.outage_percentile(0.9):.1f}",
         ]
@@ -310,7 +311,7 @@ def series(result: FaultToleranceResult) -> list:
             ("loss_rate", "availability", "total_outage_s", "max_outage_s",
              "p90_outage_s"),
             [
-                [rate, r.availability, sum(r.outage_durations),
+                [rate, r.availability, sequential_sum(r.outage_durations),
                  r.max_outage(), r.outage_percentile(0.9)]
                 for rate, r in result.loss_sweep
             ],

@@ -24,6 +24,7 @@ from ..core import (
     per_day_update_rates,
 )
 from ..engine import Series, register
+from ..stats import mean
 from .context import World
 from .report import banner, render_table
 
@@ -41,9 +42,8 @@ class SensitivityResult:
 
 
 def _std(values: List[float]) -> float:
-    n = len(values)
-    mean = sum(values) / n
-    return math.sqrt(sum((v - mean) ** 2 for v in values) / n)
+    center = mean(values)
+    return math.sqrt(mean([(v - center) ** 2 for v in values]))
 
 
 @register(

@@ -17,6 +17,7 @@ from typing import List, Tuple
 
 from ..core import intradomain_displaced
 from ..engine import Series, register
+from ..stats import mean
 from ..topology import random_intradomain_network
 from .report import banner, render_table
 
@@ -86,7 +87,7 @@ def run(
         points.append(
             SweepPoint(
                 specifics_per_router=level,
-                mean_displaced_fraction=sum(fractions) / len(fractions),
+                mean_displaced_fraction=mean(fractions),
                 max_displaced_fraction=max(fractions),
             )
         )

@@ -82,7 +82,7 @@ class AvailabilityTrace:
         """Mean probe latency (0.0 for an empty trace)."""
         if not self._samples:
             return 0.0
-        return sum(s.latency for s in self._samples) / len(self._samples)
+        return mean([s.latency for s in self._samples])
 
     def outage_intervals(self) -> List[Tuple[float, float]]:
         """Maximal runs of failed probes as ``[first, last + step)``."""

@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional
 
+from ..stats import sequential_sum
+
 __all__ = ["RetryPolicy"]
 
 
@@ -62,7 +64,7 @@ class RetryPolicy:
         self, failed_attempts: int, rng: Optional[random.Random] = None
     ) -> float:
         """Total time burned by ``failed_attempts`` timeouts in a row."""
-        return sum(
+        return sequential_sum(
             self.timeout(k, rng) for k in range(failed_attempts)
         )
 

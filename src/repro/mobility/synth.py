@@ -28,6 +28,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..stats import sequential_sum
 from ..topology import ASTopology, Tier
 from .device import AccessNetwork, UserClass, UserProfile, simulate_user_days
 from .events import MobilityEvent, UserDay, events_as_columns
@@ -151,7 +152,7 @@ class MobilityWorkload:
 
 def _weighted_choice(rng: random.Random, weights: Dict) -> object:
     items = sorted(weights.items(), key=lambda kv: repr(kv[0]))
-    total = sum(w for _, w in items)
+    total = sequential_sum(w for _, w in items)
     x = rng.random() * total
     acc = 0.0
     for key, w in items:

@@ -4,20 +4,37 @@ Medians, quantiles, and empirical CDFs are needed by the mobility
 reductions (Figs. 6/7/9), the update-rate reports (Fig. 8), and the
 fault-tolerance degradation metrics. They were historically hand-rolled
 per module; this module is the single canonical implementation.
+
+Every float reduction that reaches a reported result sums through
+:func:`sequential_sum`, so a result is bit-identical on every Python
+version the package supports.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
-__all__ = ["mean", "median", "percentile", "cdf_points"]
+__all__ = ["sequential_sum", "mean", "median", "percentile", "cdf_points"]
+
+
+def sequential_sum(values: Iterable[float]) -> float:
+    """Left-to-right sum, ``0`` for no values.
+
+    Builtin ``sum()`` compensates float rounding since Python 3.12, so
+    its last bits differ between interpreters; this loop adds in plain
+    order everywhere, as ``sum()`` did before 3.12.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 def mean(values: Sequence[float]) -> float:
     """Arithmetic mean; raises on an empty sequence."""
     if not values:
         raise ValueError("mean of empty sequence")
-    return sum(values) / len(values)
+    return sequential_sum(values) / len(values)
 
 
 def percentile(values: Sequence[float], q: float) -> float:

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..net import IPv4Address, IPv4Prefix, PrefixTrie
+from ..stats import sequential_sum
 
 __all__ = [
     "Tier",
@@ -247,7 +248,7 @@ class ASTopology:
 
     def path_latency_ms(self, path: Sequence[int]) -> float:
         """One-way latency along an AS path (list of ASNs)."""
-        return sum(
+        return sequential_sum(
             self.link_latency_ms(u, v) for u, v in zip(path, path[1:])
         )
 

@@ -8,6 +8,7 @@ import time
 import types
 import warnings
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -392,7 +393,6 @@ class TestTmpOrphanReaping:
         assert not path_old.exists()
 
     def test_array_store_reaps_stale_orphans_too(self, tmp_path):
-        np = pytest.importorskip("numpy")
         from repro.engine.cache import TMP_REAP_AGE_S
 
         cache = ArtifactCache(str(tmp_path), max_bytes=None)
@@ -442,7 +442,6 @@ class TestReadOnlyCacheDir:
     def test_array_mmap_hit_survives_readonly_dir(
         self, tmp_path, monkeypatch
     ):
-        np = pytest.importorskip("numpy")
         cache = ArtifactCache(str(tmp_path), max_bytes=None)
         key = cache.key("buf")
         cache.store_arrays(key, {"a": np.arange(8, dtype=np.int64)},
