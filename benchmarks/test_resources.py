@@ -1,20 +1,15 @@
-"""Bench: resource-sampler overhead and peak-RSS plausibility.
+"""Bench: span-reading overhead and peak-RSS plausibility.
 
 Pins the two properties the telemetry layer must keep:
 
-* sampling is near-free — at the default 10 Hz the background sampler
-  must cost well under 3% of a fig8-class experiment's wall time, so
-  leaving telemetry on for every run (which the engine does) never
-  distorts the measurements it reports;
+* readings are near-free — every span reads its own CPU and RSS at
+  exit, and the spans fig8 opens, times the measured cost of one span,
+  must stay under 1% of fig8's wall time, so leaving telemetry on for
+  every run (which the engine does) never distorts the measurements it
+  reports;
 * ``peak_rss_mb`` measures something real — a strictly larger workload
   built in a fresh interpreter must report at least the peak RSS of a
   smaller one, so budget bands track memory, not noise.
-
-The overhead measurement amplifies the tick rate (``AMP_HZ``) and
-scales the observed delta back down to the default rate: at 10 Hz the
-true overhead is too small to separate from scheduler noise directly,
-but 40x amplification makes it measurable while min-of-N keeps the
-baseline honest.
 """
 
 import os
@@ -24,72 +19,57 @@ import time
 
 from repro import obs
 from repro.engine import get_spec, load_registry
-from repro.obs import resources as res
+from repro.experiments import World
 
-#: Amplified tick rate for the overhead measurement.
-AMP_HZ = 400.0
-
-#: Timed repetitions per configuration (min-of-N defeats warm-up noise).
+#: Timed repetitions per measurement (min-of-N defeats warm-up noise).
 ROUNDS = 3
 
-#: The budget under test: sampler overhead at the default rate.
-MAX_OVERHEAD_FRACTION = 0.03
+#: Empty spans timed per round for the per-span cost.
+SPANS_PER_ROUND = 2000
+
+#: The budget under test: span readings' share of fig8's wall time.
+MAX_OVERHEAD_FRACTION = 0.01
 
 
-def _min_wall(func, rounds=ROUNDS):
+def _count_spans(nodes):
+    return sum(1 + _count_spans(node["children"]) for node in nodes)
+
+
+def _span_cost_s():
+    """Wall seconds one empty span costs, readings included."""
     best = float("inf")
-    for _ in range(rounds):
+    for _ in range(ROUNDS):
+        registry = obs.Metrics()
         start = time.perf_counter()
-        func()
-        best = min(best, time.perf_counter() - start)
+        for _ in range(SPANS_PER_ROUND):
+            with registry.span("bench.empty"):
+                pass
+        best = min(best, (time.perf_counter() - start) / SPANS_PER_ROUND)
     return best
 
 
-def test_tick_cost_fits_the_overhead_budget():
-    # Direct per-tick cost: at DEFAULT_RESOURCE_HZ ticks/s the sampler
-    # may consume at most MAX_OVERHEAD_FRACTION of every wall second.
-    sampler = res.ResourceSampler(hz=10, registry=obs.Metrics())
-    sampler.tick()  # warm the /proc read path
-    ticks = 500
-    start = time.perf_counter()
-    for _ in range(ticks):
-        sampler.tick()
-    per_tick_s = (time.perf_counter() - start) / ticks
-    budget_s = MAX_OVERHEAD_FRACTION / res.DEFAULT_RESOURCE_HZ
-    print(f"tick cost: {per_tick_s * 1e6:.1f}us "
-          f"(budget {budget_s * 1e6:.0f}us)")
-    assert per_tick_s < budget_s
-
-
-def test_sampler_overhead_under_3pct_on_fig8(world):
+def test_span_readings_under_1pct_of_fig8(scale):
+    # A fresh, cache-less World per round: fig8 pays for its substrate
+    # and opens the World-build spans, as a cold `repro run fig8` does.
+    # Min-of-N keeps noise from inflating the wall, the denominator.
     load_registry()
     spec = get_spec("fig8")
-
-    def run_fig8():
-        with obs.using(obs.Metrics()):
-            spec.execute(world)
-
-    plain_s = _min_wall(run_fig8)
-
-    def run_sampled():
+    best_wall = float("inf")
+    for _ in range(ROUNDS):
+        world = World(scale)
         registry = obs.Metrics()
-        sampler = res.ResourceSampler(hz=AMP_HZ, registry=registry)
-        sampler.start()
-        try:
-            with obs.using(registry):
-                spec.execute(world)
-        finally:
-            sampler.stop()
-
-    sampled_s = _min_wall(run_sampled)
-    amplified_overhead = max(0.0, sampled_s - plain_s)
-    scaled = amplified_overhead * (res.DEFAULT_RESOURCE_HZ / AMP_HZ)
-    fraction = scaled / plain_s if plain_s else 0.0
-    print(f"fig8 wall {plain_s:.3f}s plain, {sampled_s:.3f}s at "
-          f"{AMP_HZ:g}Hz -> {fraction * 100:.3f}% at default rate")
-    # 5 ms absolute slack keeps sub-second walls from flaking on
-    # scheduler noise the amplification cannot average away.
-    assert scaled < MAX_OVERHEAD_FRACTION * plain_s + 0.005
+        start = time.perf_counter()
+        with obs.using(registry):
+            spec.execute(world)
+        best_wall = min(best_wall, time.perf_counter() - start)
+    spans = _count_spans(registry.spans)
+    per_span_s = _span_cost_s()
+    overhead_s = spans * per_span_s
+    print(f"fig8 wall {best_wall:.3f}s, {spans} span(s) x "
+          f"{per_span_s * 1e6:.1f}us = {overhead_s * 1e3:.2f}ms "
+          f"({overhead_s / best_wall * 100:.3f}%)")
+    assert spans > 0
+    assert overhead_s < MAX_OVERHEAD_FRACTION * best_wall
 
 
 _PEAK_SCRIPT = """

@@ -24,14 +24,14 @@ timings, the slowest spans by exclusive time, cache/oracle counters);
 ``--trace-out FILE`` writes the span trees as Chrome trace-event JSON
 viewable in Perfetto.
 
-Every run also samples its own footprint (:mod:`repro.obs.resources`,
-``REPRO_RESOURCE_HZ``): records, manifests, and sweep rows carry peak
-RSS and CPU per experiment; ``--profile-mem`` adds tracemalloc span
-enrichment; ``--progress`` renders a live status line with the driver's
-RSS and an ETA; ``check`` additionally enforces the ``PERF_BUDGETS``
-bands experiment modules declare (nonzero exit on a blown budget); and
-``report --perf`` writes the ``BENCH_<git-sha>.json`` trajectory record
-CI uploads per commit.
+Every run also measures its own footprint (:mod:`repro.obs.resources`):
+every span carries its CPU seconds and RSS at exit; records,
+manifests, and sweep rows carry peak RSS and CPU per experiment;
+``--profile-mem`` adds tracemalloc span enrichment; ``--progress``
+renders a live status line with the driver's RSS and an ETA; ``check``
+additionally enforces the ``PERF_BUDGETS`` bands experiment modules
+declare (nonzero exit on a blown budget); and ``report --perf`` writes
+the ``BENCH_<git-sha>.json`` trajectory record CI uploads per commit.
 
 When a run ledger is configured (``REPRO_LEDGER_DIR`` or
 ``--ledger-dir``), every ``run`` appends a manifest — git SHA, seed,
@@ -534,19 +534,16 @@ def _usable_out_path(flag: str, path: str, err, prog: str) -> bool:
     return True
 
 
-def _driver_resources(
-    start: obs.ResourceSample, sampler: Optional[obs.ResourceSampler]
-) -> Dict:
+def _driver_resources(start: obs.ResourceSample) -> Dict:
     """A snapshot-shaped driver resource block for the ledger.
 
-    Built from direct samples rather than the driver registry — the
+    Built from direct readings rather than the driver registry — the
     registry also absorbs every worker snapshot (run-wide totals), so
     only explicit bracketing isolates the driver process's own cost.
     """
     end = obs.sample_resources()
     counters: Dict[str, float] = {
         "resources.cpu_s": round(max(0.0, end.cpu_s - start.cpu_s), 3),
-        "resources.samples": sampler.ticks if sampler is not None else 0,
     }
     if end.degraded:
         counters["resources.degraded"] = 1
@@ -670,9 +667,6 @@ def _run(
     if profile_mem:
         obs.enable_mem_profile()
     start_sample = obs.sample_resources()
-    sampler = obs.ResourceSampler().start()
-    if sampler.alive:
-        obs.incr("resources.samplers.started")
     reporter: Optional[obs.ProgressReporter] = None
     if progress:
         history = (
@@ -709,12 +703,6 @@ def _run(
             on_start=reporter.task_started if reporter is not None else None,
         )
     finally:
-        sampler.stop()
-        # Stamped after the stop: the chaos CI gate asserts this gauge
-        # drains to 0 even on runs whose workers were SIGKILLed.
-        obs.metrics().gauge(
-            "resources.samplers.open", float(obs.open_samplers())
-        )
         if reporter is not None:
             reporter.close()
         if profile_mem:
@@ -724,7 +712,7 @@ def _run(
             os.environ.pop(obs.PROFILE_MEM_ENV, None)
             if tracemalloc.is_tracing():
                 tracemalloc.stop()
-    driver_resources = _driver_resources(start_sample, sampler)
+    driver_resources = _driver_resources(start_sample)
     elapsed = perf_counter() - started
     driver = obs.metrics().snapshot()
     leaked = driver.get("counters", {}).get("shm.leaked", 0)
@@ -1190,9 +1178,6 @@ def _sweep(
     started = perf_counter()
     obs.reset_metrics()  # clean driver-side registry for this sweep
     start_sample = obs.sample_resources()
-    sampler = obs.ResourceSampler().start()
-    if sampler.alive:
-        obs.incr("resources.samplers.started")
     reporter: Optional[obs.ProgressReporter] = None
     if progress:
         try:
@@ -1216,8 +1201,7 @@ def _sweep(
                            if reporter is not None else None),
             on_task_done=(reporter.task_finished
                           if reporter is not None else None),
-            driver_metrics=lambda: _driver_resources(start_sample,
-                                                     sampler),
+            driver_metrics=lambda: _driver_resources(start_sample),
         )
     except (SweepError, SweepSpecError) as exc:
         err.write(f"repro sweep: {exc}\n")
@@ -1230,10 +1214,6 @@ def _sweep(
         )
         return 2
     finally:
-        sampler.stop()
-        obs.metrics().gauge(
-            "resources.samplers.open", float(obs.open_samplers())
-        )
         if reporter is not None:
             reporter.close()
     elapsed = perf_counter() - started

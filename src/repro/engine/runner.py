@@ -210,7 +210,7 @@ def _world_for(scale, cache: Optional[ArtifactCache]):
 
 
 def _init_worker(manifest: Optional[shm_world.WorldManifest]) -> None:
-    """Pool initializer: shm attach + resource sampler + mem profile.
+    """Pool initializer: shm attach + mem profile.
 
     Like :func:`repro.engine.shm.attach_shared_world` itself, this must
     never raise — an initializer exception poisons the whole pool, and
@@ -218,7 +218,6 @@ def _init_worker(manifest: Optional[shm_world.WorldManifest]) -> None:
     """
     shm_world.attach_shared_world(manifest)
     try:
-        obs.start_process_sampler()
         obs.maybe_enable_mem_profile_from_env()
     except Exception:
         pass
@@ -232,23 +231,13 @@ def _execute(name: str, scale, cache: Optional[ArtifactCache]) -> RunRecord:
     per-experiment collector whose snapshot rides on the returned
     record, in serial and worker paths alike. The resource-annotate
     bracket guarantees every record carries ``resources.cpu_s`` and the
-    RSS gauges even when the background sampler never ticked during the
-    experiment (fast experiments, ``REPRO_RESOURCE_HZ=0``); the live
-    sampler — this process's lifetime sampler in workers, the dynamic
-    driver sampler in serial runs — adds the per-phase attribution,
-    since its ticks land in whatever registry :func:`obs.using` has
-    made current.
+    RSS gauges; every span inside carries its own CPU and RSS readings.
     """
     started = perf_counter()
     started_at = time()  # wall clock: aligns workers in the trace
     collector = obs.Metrics()
     try:
         with obs.using(collector), obs.annotate(collector):
-            if obs.process_sampler() is not None:
-                # As with shm.worker.attached: initializer-time state
-                # has no collector to ship back, so each record marks
-                # whether a lifetime sampler was live around it.
-                obs.incr("resources.sampler.active")
             if shm_world.attached() is not None:
                 # Recorded per experiment (pool-initializer time has no
                 # collector to ship back): this execution ran against

@@ -7,10 +7,9 @@ Six layers, lowest first:
   worker processes ship their metrics back to the parent and
   ``repro run --profile`` / ``--metrics-out`` report one coherent
   picture of a parallel run;
-* :mod:`.resources` — a background sampler (driver and every pooled
-  worker) recording RSS / peak RSS / CPU into the current metrics
-  registry at ``REPRO_RESOURCE_HZ``, with per-phase attribution from
-  the open span and optional tracemalloc span enrichment under
+* :mod:`.resources` — RSS / peak RSS / CPU readings taken at span
+  exits and around every experiment (driver and every pooled worker
+  alike), with optional tracemalloc span enrichment under
   ``run --profile-mem``;
 * :mod:`.history` — the run ledger: every run appends a manifest (git
   SHA, seed, scale, per-experiment status/wall time/series digests/
@@ -69,20 +68,13 @@ from .metrics import (
 )
 from .progress import ProgressReporter
 from .resources import (
-    DEFAULT_RESOURCE_HZ,
     PROFILE_MEM_ENV,
-    RESOURCE_HZ_ENV,
     ResourceSample,
-    ResourceSampler,
     annotate,
     enable_mem_profile,
     maybe_enable_mem_profile_from_env,
     mem_profile_enabled,
-    open_samplers,
-    process_sampler,
-    resource_hz,
     sample_resources,
-    start_process_sampler,
 )
 from .traceviz import chrome_trace, write_chrome_trace
 
@@ -98,20 +90,13 @@ __all__ = [
     "merge_snapshots",
     "set_span_enricher",
     "span_enricher",
-    "DEFAULT_RESOURCE_HZ",
     "PROFILE_MEM_ENV",
-    "RESOURCE_HZ_ENV",
     "ResourceSample",
-    "ResourceSampler",
     "annotate",
     "enable_mem_profile",
     "maybe_enable_mem_profile_from_env",
     "mem_profile_enabled",
-    "open_samplers",
-    "process_sampler",
-    "resource_hz",
     "sample_resources",
-    "start_process_sampler",
     "LEDGER_DIR_ENV",
     "RunLedger",
     "build_entry",

@@ -138,9 +138,10 @@ def build_entry(
     When a record's metrics carry resource telemetry
     (:mod:`repro.obs.resources`), its experiment dict also gets
     ``peak_rss_mb`` / ``cpu_s`` so perf budgets and ``repro compare``
-    can read costs without digging through merged metric totals; the
-    fields are simply absent for records sampled zero times (sampler
-    disabled via ``REPRO_RESOURCE_HZ=0``, pre-telemetry journals).
+    can read costs without digging through merged metric totals. The
+    engine's ``annotate`` bracket stamps both on every record it runs;
+    the fields are absent only for records without them, such as those
+    restored from journals written before resource telemetry existed.
     ``driver_metrics`` (the driver process's own snapshot) lands under
     ``entry["resources"]["driver"]`` — driver costs must not be merged
     into experiment totals or serial and pooled runs would disagree.
@@ -202,9 +203,6 @@ def build_entry(
         cpu = counters.get("resources.cpu_s")
         if cpu is not None:
             driver["cpu_s"] = round(float(cpu), 3)
-        samples = counters.get("resources.samples")
-        if samples is not None:
-            driver["samples"] = int(samples)
         degraded = counters.get("resources.degraded")
         if degraded:
             driver["degraded"] = int(degraded)

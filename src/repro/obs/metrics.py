@@ -19,7 +19,11 @@ Three primitives cover those needs:
   records its ``duration_s`` (inclusive), its ``self_s`` (exclusive:
   duration minus direct children, so a parent is never blamed for its
   children's work), and its ``start_s`` offset from the registry's
-  creation, which lets a trace exporter reconstruct the timeline.
+  creation, which lets a trace exporter reconstruct the timeline. It
+  also stores its own resource readings: ``cpu_s`` (process CPU
+  seconds spent inside it, children included) and ``rss_mb`` /
+  ``peak_rss_mb`` (current and peak RSS read once at its exit, see
+  :func:`repro.obs.resources.sample_resources`).
 
 Everything in a snapshot is plain JSON (dicts, lists, strings,
 numbers), so worker processes can ship their metrics back to the
@@ -44,8 +48,10 @@ import json
 import os
 import threading
 from contextlib import contextmanager
-from time import perf_counter
+from time import perf_counter, process_time
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+
+from .resources import sample_resources
 
 __all__ = [
     "Metrics",
@@ -61,12 +67,12 @@ __all__ = [
     "span_enricher",
 ]
 
-#: One module-wide recording lock shared by every registry: the
-#: resource sampler (:mod:`repro.obs.resources`) is a *thread* writing
-#: counters/gauges concurrently with the main thread's recording and
-#: snapshotting, so those paths must be mutually excluded. A single
-#: lock keeps the fork story simple — it is re-initialized in forked
-#: children so a fork taken mid-tick can never inherit a held lock.
+#: One module-wide recording lock shared by every registry: counter and
+#: gauge writes are read-modify-writes, and a snapshot copies the dicts,
+#: so a caller that records from a thread of its own must never race
+#: the main thread's recording and snapshotting. A single lock keeps
+#: the fork story simple — it is re-initialized in forked children so a
+#: fork taken while it is held can never inherit a held lock.
 _REC_LOCK = threading.RLock()
 
 
@@ -103,8 +109,8 @@ class Metrics:
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
         #: Completed root spans, each ``{"name", "start_s", "duration_s",
-        #: "self_s", "children"}``; ``start_s`` is the offset from this
-        #: registry's creation.
+        #: "self_s", "cpu_s", "rss_mb", "peak_rss_mb", "children"}``;
+        #: ``start_s`` is the offset from this registry's creation.
         self.spans: List[Dict[str, Any]] = []
         self._stack: List[Dict[str, Any]] = []
         self._epoch = perf_counter()
@@ -124,24 +130,14 @@ class Metrics:
     def gauge_max(self, name: str, value: float) -> None:
         """Raise gauge ``name`` to ``value`` if it is below it.
 
-        The read-modify-write is atomic under the recording lock — the
-        resource sampler uses this to keep "max sampled RSS" gauges
-        from racing the main thread.
+        The read-modify-write is atomic under the recording lock;
+        :func:`repro.obs.resources.annotate` keeps its RSS gauges at the
+        highest reading this way.
         """
         with _REC_LOCK:
             current = self.gauges.get(name)
             if current is None or value > current:
                 self.gauges[name] = value
-
-    def current_span_name(self) -> Optional[str]:
-        """The innermost open span's name, or None outside any span.
-
-        Read lock-free from another thread (the resource sampler uses
-        it for phase attribution): worst case it names a span that
-        closed a tick ago, which only blurs attribution, never breaks.
-        """
-        stack = self._stack
-        return stack[-1]["name"] if stack else None
 
     @contextmanager
     def span(self, name: str) -> Iterator[Dict[str, Any]]:
@@ -151,10 +147,18 @@ class Metrics:
         so the recorded tree mirrors the dynamic call structure. The
         span is recorded even when the block raises — a failed
         experiment still shows where its time went.
+
+        At exit the span reads its own resources: ``cpu_s`` is the
+        :func:`time.process_time` delta over the block, ``rss_mb`` and
+        ``peak_rss_mb`` come from one
+        :func:`~repro.obs.resources.sample_resources` call. The reading
+        falls outside ``duration_s``, so it lands in the parent's
+        ``self_s``.
         """
         frame: Dict[str, Any] = {"name": name, "start_s": 0.0,
                                  "duration_s": 0.0, "self_s": 0.0,
-                                 "children": []}
+                                 "cpu_s": 0.0, "rss_mb": 0.0,
+                                 "peak_rss_mb": 0.0, "children": []}
         parent = self._stack[-1] if self._stack else None
         self._stack.append(frame)
         enricher = _SPAN_ENRICHER
@@ -164,16 +168,21 @@ class Metrics:
             except Exception:
                 pass  # enrichment is optional telemetry, never fatal
         started = perf_counter()
+        cpu_started = process_time()
         frame["start_s"] = started - self._epoch
         try:
             yield frame
         finally:
             frame["duration_s"] = perf_counter() - started
+            frame["cpu_s"] = round(process_time() - cpu_started, 6)
             frame["self_s"] = max(
                 0.0,
                 frame["duration_s"]
                 - sum(c["duration_s"] for c in frame["children"]),
             )
+            reading = sample_resources()
+            frame["rss_mb"] = round(reading.rss_mb, 3)
+            frame["peak_rss_mb"] = round(reading.peak_rss_mb, 3)
             if enricher is not None:
                 try:
                     enricher("end", frame, len(self._stack))

@@ -1,55 +1,42 @@
-"""Resource telemetry: RSS / peak-RSS / CPU sampling for every process.
+"""Resource telemetry: RSS / peak-RSS / CPU readings for every process.
 
 The harness measures update cost, path stretch, and FIB size with
 paper-grade rigor; this module applies the same rigor to the harness's
-own footprint. A :class:`ResourceSampler` is a daemon thread that
-periodically (``REPRO_RESOURCE_HZ``, default 10 Hz) reads this
-process's resident set size and CPU time and records them into the
-*current* :mod:`repro.obs.metrics` registry — which the engine swaps
-per experiment, so samples taken while ``fig8`` runs land on ``fig8``'s
-own collector, in the driver and in pooled workers alike.
+own footprint. Readings are taken at boundaries the code already has,
+never by a timer: every :mod:`repro.obs.metrics` span stores its own
+CPU seconds and the RSS at its exit, and the engine brackets every
+experiment with :func:`annotate`, in the driver and in pooled workers
+alike.
 
-Two sampling sources, tried in order:
+Two reading sources, tried in order:
 
 * ``/proc/self/status`` (``VmRSS`` / ``VmHWM``) — current and peak RSS
   on Linux;
 * :func:`resource.getrusage` — peak RSS and CPU time everywhere POSIX.
 
 When ``/proc`` is unavailable (macOS, containers with hidden procfs)
-sampling **degrades instead of crashing**: peak RSS stands in for
-current RSS and every sample bumps the ``resources.degraded`` counter
-so the gap is visible in the run manifest.
+a reading **degrades instead of crashing**: peak RSS stands in for
+current RSS, and :func:`annotate` bumps the ``resources.degraded``
+counter so the gap is visible in the run manifest.
 
-What lands in the registry (merge rules in parentheses):
+What :func:`annotate` lands in the registry (merge rules in
+parentheses):
 
-* ``resources.rss_mb`` — max sampled current RSS (gauge, max);
-* ``resources.peak_rss_mb`` — OS-reported process peak RSS (gauge, max);
-* ``resources.cpu_s`` — CPU seconds consumed (counter, sum);
-* ``resources.phase.<phase>.rss_mb`` / ``.cpu_s`` — the same numbers
-  attributed to the coarse phase (``build`` / ``oracle`` /
-  ``evaluate`` / ``idle``) whose span was open when the tick fired;
-* ``resources.samples`` — ticks taken (counter, sum);
-* ``resources.degraded`` — ticks served without ``/proc`` (counter).
+* ``resources.rss_mb`` — RSS at the block's exit (gauge, max);
+* ``resources.peak_rss_mb`` — OS-reported process peak RSS (gauge,
+  max);
+* ``resources.cpu_s`` — CPU seconds the block consumed (counter, sum);
+* ``resources.degraded`` — readings served without ``/proc``
+  (counter).
 
 Because all of these ride the existing counter/gauge merge rules
 (counters sum, gauges max), serial and pooled runs produce snapshots
 with the same *shape* and deterministic merge semantics — the values
-are measurements, the plumbing is not.
-
-Ticks alone cannot guarantee a fast experiment gets any sample, so the
-engine also brackets every experiment with :func:`annotate`: one
-explicit sample before and after, recording the experiment's CPU delta
-and final RSS. Every :class:`~repro.engine.runner.RunRecord` therefore
-carries ``resources.cpu_s`` / ``resources.rss_mb`` /
-``resources.peak_rss_mb`` whether or not a tick fired.
-
-Sampler lifecycle mirrors the shared-memory discipline: every sampler
-this process starts is registered module-globally, :func:`open_samplers`
-counts the live ones, and the engine stamps the
-``resources.samplers.open`` gauge after stopping its sampler — the
-chaos CI gate asserts it drains to 0 even when workers were SIGKILLed
-mid-run (a killed worker's daemon thread dies with it; only the
-driver's own bookkeeping could leak).
+are measurements, the plumbing is not. The engine wraps every
+experiment execution in :func:`annotate`, so every
+:class:`~repro.engine.runner.RunRecord` carries the three resource
+keys, and a record's ``resources.rss_mb`` is its process's RSS when
+the experiment finished.
 
 ``run --profile-mem`` additionally enables a :mod:`tracemalloc` span
 enricher (:func:`enable_mem_profile`): every span frame gains a
@@ -57,51 +44,30 @@ enricher (:func:`enable_mem_profile`): every span frame gains a
 root (experiment-level) spans capture their top allocation sites.
 
 Like every ``repro.obs`` module this imports nothing from the rest of
-``repro``.
+``repro``. It imports :mod:`repro.obs.metrics` only inside the
+``--profile-mem`` functions, because that module imports
+:func:`sample_resources` for its span readings.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
-# NB: import the functions, not `from . import metrics` — the package
-# __init__ rebinds its `metrics` attribute to the function of the same
-# name, so attribute-style module access would resolve to the function.
-from .metrics import Metrics
-from .metrics import metrics as _current_metrics
-from .metrics import set_span_enricher as _set_span_enricher
-from .metrics import span_enricher as _span_enricher
+if TYPE_CHECKING:
+    from .metrics import Metrics
 
 __all__ = [
-    "RESOURCE_HZ_ENV",
-    "DEFAULT_RESOURCE_HZ",
     "PROFILE_MEM_ENV",
     "ResourceSample",
-    "ResourceSampler",
     "sample_resources",
-    "resource_hz",
-    "phase_for",
     "annotate",
-    "open_samplers",
-    "start_process_sampler",
-    "process_sampler",
     "enable_mem_profile",
     "mem_profile_enabled",
     "maybe_enable_mem_profile_from_env",
 ]
-
-#: Environment variable setting the sampling frequency in Hz. ``0``
-#: (or any non-positive value) disables the background ticks; the
-#: per-experiment bracket samples are always taken.
-RESOURCE_HZ_ENV = "REPRO_RESOURCE_HZ"
-
-#: Default tick frequency: 10 Hz costs well under 1% of a core and
-#: bounds the blind spot between samples to 100 ms.
-DEFAULT_RESOURCE_HZ = 10.0
 
 #: Environment flag enabling the tracemalloc span enricher in every
 #: process of a run (the CLI sets it so pooled workers inherit it).
@@ -191,70 +157,23 @@ def sample_resources() -> ResourceSample:
     )
 
 
-def resource_hz() -> float:
-    """The tick frequency from ``REPRO_RESOURCE_HZ`` (default 10).
-
-    Malformed values fall back to the default; non-positive values
-    mean "no background ticks" and are returned as 0.
-    """
-    raw = os.environ.get(RESOURCE_HZ_ENV, "").strip()
-    if not raw:
-        return DEFAULT_RESOURCE_HZ
-    try:
-        value = float(raw)
-    except ValueError:
-        return DEFAULT_RESOURCE_HZ
-    return value if value > 0 else 0.0
-
-
-# -- phase attribution ----------------------------------------------------
-
-#: Span-name prefixes mapped to the coarse phases the ROADMAP's
-#: out-of-core work cares about. Order matters: ``world.oracle`` must
-#: classify as ``oracle`` before the broader ``world.`` matches
-#: ``build``.
-_PHASES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    ("oracle", ("world.oracle", "routing.")),
-    ("build", ("world.", "shm.")),
-    ("evaluate", ("experiment.", "evaluator.", "convergence.")),
-)
-
-
-def phase_for(span_name: Optional[str]) -> str:
-    """The coarse phase a span name belongs to (``idle`` for none)."""
-    if not span_name:
-        return "idle"
-    for phase, prefixes in _PHASES:
-        if span_name.startswith(prefixes):
-            return phase
-    return "other"
-
-
 # -- recording ------------------------------------------------------------
 
 
 def _record_sample(
-    registry: Metrics,
-    sample: ResourceSample,
-    cpu_delta: Optional[float] = None,
-    phase: Optional[str] = None,
+    registry: Metrics, sample: ResourceSample, cpu_delta: float,
 ) -> None:
-    """Fold one sample into ``registry`` under the merge-safe names."""
+    """Fold one reading and the CPU spent before it into ``registry``."""
+    registry.incr("resources.cpu_s", round(cpu_delta, 6))
     registry.gauge_max("resources.rss_mb", round(sample.rss_mb, 3))
     registry.gauge_max("resources.peak_rss_mb",
                        round(sample.peak_rss_mb, 3))
     if sample.degraded:
         registry.incr("resources.degraded")
-    if phase is not None:
-        registry.gauge_max(f"resources.phase.{phase}.rss_mb",
-                           round(sample.rss_mb, 3))
-        if cpu_delta:
-            registry.incr(f"resources.phase.{phase}.cpu_s",
-                          round(cpu_delta, 6))
 
 
 class _AnnotateContext:
-    """Context manager bracketing one experiment with explicit samples."""
+    """Context manager bracketing one experiment with explicit readings."""
 
     def __init__(self, registry: Metrics) -> None:
         self._registry = registry
@@ -268,147 +187,18 @@ class _AnnotateContext:
         end = sample_resources()
         start = self._start
         cpu = max(0.0, end.cpu_s - (start.cpu_s if start else 0.0))
-        self._registry.incr("resources.cpu_s", round(cpu, 6))
-        _record_sample(self._registry, end)
+        _record_sample(self._registry, end, cpu)
 
 
 def annotate(registry: Metrics) -> _AnnotateContext:
-    """Bracket a block with start/end samples on ``registry``.
+    """Bracket a block with start/end readings on ``registry``.
 
-    Guarantees the registry carries ``resources.cpu_s`` (the block's
-    CPU delta, a summing counter) and the RSS gauges even when the
-    block is too fast for any background tick to fire — the engine
-    wraps every experiment execution in this, so resource keys are
-    present on every record deterministically.
+    The registry gains ``resources.cpu_s`` (the block's CPU delta, a
+    summing counter) and the RSS gauges as read at the block's exit —
+    the engine wraps every experiment execution in this, so resource
+    keys are present on every record deterministically.
     """
     return _AnnotateContext(registry)
-
-
-# -- the background sampler ----------------------------------------------
-
-#: Samplers started (and not yet stopped) by THIS process. Forked
-#: children inherit the set but not the threads, so liveness is
-#: re-checked on read.
-_SAMPLERS: List["ResourceSampler"] = []
-_SAMPLERS_LOCK = threading.Lock()
-
-
-def open_samplers() -> int:
-    """How many samplers this process started and has not stopped.
-
-    Entries whose threads are dead (inherited across a ``fork``, where
-    threads do not survive) are pruned rather than counted — a forked
-    worker starts with a clean slate.
-    """
-    with _SAMPLERS_LOCK:
-        _SAMPLERS[:] = [s for s in _SAMPLERS if s.alive]
-        return len(_SAMPLERS)
-
-
-class ResourceSampler:
-    """A daemon thread sampling this process at ``hz``.
-
-    Each tick records into the *current* metrics registry (the one
-    module-level :func:`repro.obs.incr` would hit), so per-experiment
-    collectors scoped with :func:`repro.obs.using` receive exactly the
-    samples taken while their experiment ran. Pass ``registry`` to pin
-    all ticks to one collector instead (tests do).
-    """
-
-    def __init__(
-        self,
-        hz: Optional[float] = None,
-        registry: Optional[Metrics] = None,
-    ) -> None:
-        self.hz = resource_hz() if hz is None else float(hz)
-        self._registry = registry
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self._last_cpu: Optional[float] = None
-        self.ticks = 0
-
-    @property
-    def alive(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    def _target(self) -> Metrics:
-        return (self._registry if self._registry is not None
-                else _current_metrics())
-
-    def tick(self) -> ResourceSample:
-        """Take one sample and record it (public for tests/benches)."""
-        sample = sample_resources()
-        delta = (max(0.0, sample.cpu_s - self._last_cpu)
-                 if self._last_cpu is not None else 0.0)
-        self._last_cpu = sample.cpu_s
-        registry = self._target()
-        phase = phase_for(registry.current_span_name())
-        _record_sample(registry, sample, cpu_delta=delta, phase=phase)
-        registry.incr("resources.samples")
-        self.ticks += 1
-        return sample
-
-    def _run(self) -> None:
-        interval = 1.0 / self.hz
-        while not self._stop.wait(interval):
-            try:
-                self.tick()
-            except Exception:
-                # Telemetry must never take a run down. A tick that
-                # fails (say, a registry swapped mid-read) is skipped.
-                pass
-
-    def start(self) -> "ResourceSampler":
-        """Start ticking; a no-op sampler when ``hz`` is 0."""
-        if self._thread is not None or self.hz <= 0:
-            return self
-        self._thread = threading.Thread(
-            target=self._run, name="repro-resource-sampler", daemon=True
-        )
-        with _SAMPLERS_LOCK:
-            _SAMPLERS.append(self)
-        self._thread.start()
-        return self
-
-    def stop(self, timeout: float = 2.0) -> None:
-        """Stop the thread and deregister (idempotent)."""
-        self._stop.set()
-        thread, self._thread = self._thread, None
-        if thread is not None:
-            thread.join(timeout=timeout)
-        with _SAMPLERS_LOCK:
-            if self in _SAMPLERS:
-                _SAMPLERS.remove(self)
-
-
-#: The process-lifetime sampler started by the pool initializer, if any.
-_PROCESS_SAMPLER: Optional[ResourceSampler] = None
-
-
-def start_process_sampler() -> Optional[ResourceSampler]:
-    """Start (or revive) this process's lifetime sampler.
-
-    Called from the worker pool initializer next to the shared-memory
-    attach. Idempotent, and fork-aware: a sampler object inherited from
-    the parent has no live thread in the child, so it is replaced.
-    Returns None when ticks are disabled (``REPRO_RESOURCE_HZ=0``).
-    """
-    global _PROCESS_SAMPLER
-    if _PROCESS_SAMPLER is not None and _PROCESS_SAMPLER.alive:
-        return _PROCESS_SAMPLER
-    sampler = ResourceSampler()
-    if sampler.hz <= 0:
-        _PROCESS_SAMPLER = None
-        return None
-    _PROCESS_SAMPLER = sampler.start()
-    return _PROCESS_SAMPLER
-
-
-def process_sampler() -> Optional[ResourceSampler]:
-    """The live process-lifetime sampler, or None."""
-    if _PROCESS_SAMPLER is not None and _PROCESS_SAMPLER.alive:
-        return _PROCESS_SAMPLER
-    return None
 
 
 # -- tracemalloc span enrichment (run --profile-mem) ----------------------
@@ -419,7 +209,9 @@ _MEM_TOP_N = 3
 
 def mem_profile_enabled() -> bool:
     """Whether the tracemalloc enricher is active in this process."""
-    return _span_enricher() is _mem_enricher
+    from .metrics import span_enricher
+
+    return span_enricher() is _mem_enricher
 
 
 def _mem_enricher(event: str, frame: Dict[str, Any], depth: int) -> None:
@@ -461,10 +253,12 @@ def enable_mem_profile() -> None:
     """
     import tracemalloc
 
+    from .metrics import set_span_enricher
+
     os.environ[PROFILE_MEM_ENV] = "1"
     if not tracemalloc.is_tracing():
         tracemalloc.start()
-    _set_span_enricher(_mem_enricher)
+    set_span_enricher(_mem_enricher)
 
 
 def maybe_enable_mem_profile_from_env() -> None:

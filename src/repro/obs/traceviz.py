@@ -5,7 +5,9 @@ records (:mod:`repro.obs.metrics`) into the `Chrome trace-event
 format`_ understood by Perfetto (https://ui.perfetto.dev) and
 ``chrome://tracing``: one "thread" track per experiment, one complete
 ("X") event per span, offset-corrected so spans recorded in different
-worker processes land on one shared timeline.
+worker processes land on one shared timeline. Each event's args carry
+the span's exclusive time (``self_us``) and its own CPU seconds and
+RSS readings (``cpu_s``, ``rss_mb``, ``peak_rss_mb``).
 
 Offset correction works in two layers: each span carries ``start_s``
 (its offset from its collector's creation, measured by the worker's
@@ -31,6 +33,10 @@ __all__ = ["chrome_trace", "write_chrome_trace"]
 
 _PID = 1  # one logical "process": the run
 
+#: Per-span resource readings (:meth:`repro.obs.Metrics.span`) copied
+#: into each event's args; spans from older journals may lack them.
+_READINGS = ("cpu_s", "rss_mb", "peak_rss_mb")
+
 
 def _self_us(node: Dict[str, Any]) -> float:
     fallback = node["duration_s"] - sum(
@@ -45,6 +51,9 @@ def _span_events(
 ) -> None:
     start_us = base_us + node.get("start_s", 0.0) * 1e6
     args: Dict[str, Any] = {"self_us": round(_self_us(node), 1)}
+    for key in _READINGS:
+        if key in node:
+            args[key] = node[key]
     if node.get("mem"):
         # tracemalloc enrichment from run --profile-mem: alloc deltas
         # and top allocation sites, viewable per-span in Perfetto.

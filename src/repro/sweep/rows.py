@@ -16,7 +16,7 @@ timestamps, no sweep id — a serial run, a pooled run, and a resumed
 run of the same spec produce byte-identical files.
 
 Resource telemetry rides along as ``resource:peak_rss_mb`` /
-``resource:cpu_s`` rows when the record's metrics carry samples — but
+``resource:cpu_s`` rows when the record's metrics carry readings — but
 those values are *measurements*, different on every run, so
 :func:`to_csv` filters them out by default to keep the byte-identity
 guarantee (and the CI ``cmp`` gates built on it); ``repro sweep

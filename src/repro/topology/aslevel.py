@@ -294,7 +294,11 @@ def _alloc_region_blocks() -> Dict[str, IPv4Prefix]:
 def generate_as_topology(
     config: Optional[ASTopologyConfig] = None,
 ) -> ASTopology:
-    """Build the synthetic Internet described in the module docstring."""
+    """Build the synthetic Internet described in the module docstring.
+
+    Raises ``ValueError`` when a region's ASes need more /16s than the
+    256 in its /8.
+    """
     cfg = config or ASTopologyConfig()
     rng = random.Random(cfg.seed)
     topo = ASTopology()
@@ -389,7 +393,10 @@ def generate_as_topology(
         for _ in range(count):
             index = cursor[node.region]
             if index >= 256:
-                break  # region block exhausted; extremely unlikely at defaults
+                raise ValueError(
+                    f"region {node.region!r} ran out of address space at "
+                    f"AS{asn}: its /8 holds only 256 /16s"
+                )
             cursor[node.region] = index + 1
             prefix = IPv4Prefix(block.network | (index << 16), 16)
             topo.assign_prefix(asn, prefix)

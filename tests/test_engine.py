@@ -41,9 +41,9 @@ CHEAP = ["compact-routing", "envelope", "ablation-hybrid", "table1"]
 
 
 def _deterministic(counters):
-    """Drop ``resources.*`` counters — wall-clock telemetry (sampler
-    ticks, CPU seconds) that legitimately differs between otherwise
-    identical runs, like wall times in the ledger."""
+    """Drop ``resources.*`` counters — CPU seconds and other
+    measurements that legitimately differ between otherwise identical
+    runs, like wall times in the ledger."""
     return {k: v for k, v in counters.items()
             if not k.startswith("resources.")}
 
@@ -451,13 +451,55 @@ class TestRunnerMetrics:
             unregister("counting-b")
         totals_serial = obs.merge_snapshots(r.metrics for r in serial)
         totals_parallel = obs.merge_snapshots(r.metrics for r in parallel)
-        # resources.* counters are wall-clock telemetry (sampler ticks,
-        # CPU seconds) and legitimately differ run-to-run.
+        # resources.* counters are measurements (CPU seconds) and
+        # legitimately differ run-to-run.
         assert (_deterministic(totals_serial["counters"])
                 == _deterministic(totals_parallel["counters"])
                 == {"test.runs": 2, "test.weight": 7})
         assert totals_serial["timers"]["test.work"]["count"] == 2
         assert totals_parallel["timers"]["test.work"]["count"] == 2
+
+    @fork_only
+    def test_no_repro_thread_in_workers_or_driver(self, monkeypatch,
+                                                  tmp_path, capsys):
+        # Resource readings are taken at span and experiment exits, not
+        # by a timer thread: neither a pooled worker nor the driver of
+        # a serial `repro run` runs a thread that repro started.
+        import json
+        import threading
+
+        from repro.cli import main
+
+        def make_probe():
+            def run():
+                obs.gauge("test.pid", os.getpid())
+                for thread in threading.enumerate():
+                    if thread.name.startswith("repro"):
+                        obs.incr(f"test.thread.{thread.name}")
+            return run
+
+        names = ["thread-probe-a", "thread-probe-b"]
+        for name in names:
+            _register_synthetic(monkeypatch, name, make_probe())
+        monkeypatch.delenv(obs.LEDGER_DIR_ENV, raising=False)
+        metrics_out = tmp_path / "metrics.json"
+        try:
+            pooled = run_experiments(names, SMALL_SCALE, jobs=2)
+            assert main(["run", names[0], "--scale", "small",
+                         "--metrics-out", str(metrics_out)]) == 0
+        finally:
+            for name in names:
+                unregister(name)
+        capsys.readouterr()
+        serial = json.loads(metrics_out.read_text())["experiments"]
+        assert all(record.ok for record in pooled)
+        assert all(record.metrics["gauges"]["test.pid"] != os.getpid()
+                   for record in pooled)  # really ran in workers
+        assert serial[names[0]]["status"] == "ok"
+        for metrics in ([record.metrics for record in pooled]
+                        + [serial[names[0]]["metrics"]]):
+            assert not [key for key in metrics["counters"]
+                        if key.startswith("test.thread.")]
 
 
 class TestLedgerParity:

@@ -227,7 +227,7 @@ _RESOURCE_OBS = st.tuples(
 class TestResourceMergeDeterminism:
     """Serial and pooled runs must agree on merged resource metrics.
 
-    A serial run records every sample into one registry; a pooled run
+    A serial run records every reading into one registry; a pooled run
     records them into per-worker registries whose snapshots the driver
     merges. Both must land on identical counters and gauges — this is
     the property that lets ``peak_rss_mb`` / ``cpu_s`` appear in
@@ -246,9 +246,7 @@ class TestResourceMergeDeterminism:
             rss_mb=float(rss), peak_rss_mb=float(rss),
             cpu_s=float(cpu), degraded=degraded,
         )
-        _record_sample(registry, sample, cpu_delta=float(cpu),
-                       phase="evaluate")
-        registry.incr("resources.samples")
+        _record_sample(registry, sample, cpu_delta=float(cpu))
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(_RESOURCE_OBS, min_size=1, max_size=12),
@@ -370,6 +368,27 @@ class TestTraceViz:
         assert outer["ts"] <= inner["ts"]
         assert (inner["ts"] + inner["dur"]
                 <= outer["ts"] + outer["dur"] + 1)  # 1us rounding slack
+
+    def test_span_readings_ride_into_event_args(self):
+        # Every span, nested or not, reads its own CPU and RSS at exit,
+        # and the Chrome trace shows them next to self_us.
+        m = Metrics()
+        with m.span("outer"):
+            with m.span("inner"):
+                sum(i * i for i in range(200_000))
+        outer = m.spans[0]
+        inner = outer["children"][0]
+        for frame in (outer, inner):
+            assert frame["rss_mb"] > 1.0
+            assert frame["peak_rss_mb"] >= frame["rss_mb"]
+        assert inner["cpu_s"] > 0.0
+        assert outer["cpu_s"] >= inner["cpu_s"]  # children included
+        doc = obs.chrome_trace([_FakeRecord("x", 1.0, m.snapshot())])
+        events = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        for event, frame in zip(events, (outer, inner)):
+            assert event["name"] == frame["name"]
+            for key in ("cpu_s", "rss_mb", "peak_rss_mb"):
+                assert event["args"][key] == frame[key]
 
     def test_mem_annotations_ride_into_event_args(self):
         # run --profile-mem enriches span frames with a "mem" dict;

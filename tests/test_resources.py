@@ -1,4 +1,4 @@
-"""Resource telemetry: sampling, phases, budgets, progress reporting."""
+"""Resource telemetry: readings, annotate, budgets, progress reporting."""
 
 import io
 import time
@@ -33,137 +33,26 @@ class TestSampleResources:
         assert sample.rss_mb == sample.peak_rss_mb  # peak stands in
         assert sample.cpu_s > 0.0
 
-    def test_degraded_ticks_bump_counter(self, monkeypatch):
+    def test_degraded_readings_bump_counter(self, monkeypatch):
         monkeypatch.setattr(res, "_proc_status_kb", lambda: None)
         registry = Metrics()
-        sampler = res.ResourceSampler(hz=10, registry=registry)
-        sampler.tick()
-        sampler.tick()
+        with res.annotate(registry):
+            pass
+        with res.annotate(registry):
+            pass
         assert registry.counters["resources.degraded"] == 2
-        assert registry.counters["resources.samples"] == 2
+        assert registry.gauges["resources.rss_mb"] == (
+            registry.gauges["resources.peak_rss_mb"])
 
     def test_proc_parse_failure_returns_none(self, monkeypatch):
         monkeypatch.setattr(res, "_PROC_STATUS", "/no/such/file")
         assert res._proc_status_kb() is None
 
 
-class TestResourceHz:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(res.RESOURCE_HZ_ENV, raising=False)
-        assert res.resource_hz() == res.DEFAULT_RESOURCE_HZ
-
-    def test_override(self, monkeypatch):
-        monkeypatch.setenv(res.RESOURCE_HZ_ENV, "25")
-        assert res.resource_hz() == 25.0
-
-    def test_malformed_falls_back(self, monkeypatch):
-        monkeypatch.setenv(res.RESOURCE_HZ_ENV, "fast")
-        assert res.resource_hz() == res.DEFAULT_RESOURCE_HZ
-
-    @pytest.mark.parametrize("raw", ["0", "-5"])
-    def test_non_positive_disables(self, monkeypatch, raw):
-        monkeypatch.setenv(res.RESOURCE_HZ_ENV, raw)
-        assert res.resource_hz() == 0.0
-
-
-class TestPhaseAttribution:
-    @pytest.mark.parametrize("span,phase", [
-        ("world.oracle.build", "oracle"),
-        ("routing.bgp.frontier", "oracle"),
-        ("world.workload", "build"),
-        ("shm.world.publish", "build"),
-        ("experiment.fig8", "evaluate"),
-        ("evaluator.device", "evaluate"),
-        (None, "idle"),
-        ("", "idle"),
-        ("cache.read", "other"),
-    ])
-    def test_phase_for(self, span, phase):
-        assert res.phase_for(span) == phase
-
-    def test_tick_attributes_to_open_span(self):
-        registry = Metrics()
-        sampler = res.ResourceSampler(hz=10, registry=registry)
-        sampler.tick()  # establishes the CPU baseline
-        with registry.span("experiment.fig6"):
-            # Burn a little CPU so the phase delta is nonzero.
-            sum(i * i for i in range(200_000))
-            sampler.tick()
-        assert registry.gauges["resources.phase.evaluate.rss_mb"] > 0
-        assert registry.counters.get(
-            "resources.phase.evaluate.cpu_s", 0.0) >= 0.0
-
-
-class TestSamplerLifecycle:
-    def test_background_thread_ticks_and_stops(self):
-        registry = Metrics()
-        sampler = res.ResourceSampler(hz=200, registry=registry).start()
-        assert sampler.alive
-        deadline = time.monotonic() + 2.0
-        while sampler.ticks < 3 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        sampler.stop()
-        assert not sampler.alive
-        assert sampler.ticks >= 3
-        assert registry.counters["resources.samples"] == sampler.ticks
-        assert registry.gauges["resources.rss_mb"] > 0
-
-    def test_hz_zero_never_starts(self):
-        sampler = res.ResourceSampler(hz=0).start()
-        assert not sampler.alive
-        assert res.open_samplers() == 0
-
-    def test_open_samplers_counts_and_drains(self):
-        assert res.open_samplers() == 0
-        a = res.ResourceSampler(hz=100, registry=Metrics()).start()
-        b = res.ResourceSampler(hz=100, registry=Metrics()).start()
-        assert res.open_samplers() == 2
-        a.stop()
-        assert res.open_samplers() == 1
-        b.stop()
-        assert res.open_samplers() == 0
-
-    def test_stop_is_idempotent(self):
-        sampler = res.ResourceSampler(hz=100, registry=Metrics()).start()
-        sampler.stop()
-        sampler.stop()
-        assert res.open_samplers() == 0
-
-    def test_ticks_follow_current_registry(self):
-        # The engine swaps the ambient registry per experiment; a
-        # registry-less sampler must follow it so samples land on the
-        # collector of whatever was running at tick time.
-        sampler = res.ResourceSampler(hz=10)
-        outer = obs.reset_metrics()
-        scoped = Metrics()
-        sampler.tick()
-        with obs.using(scoped):
-            sampler.tick()
-        assert scoped.counters["resources.samples"] == 1
-        assert outer.counters["resources.samples"] == 1
-
-    def test_process_sampler_idempotent(self, monkeypatch):
-        monkeypatch.setattr(res, "_PROCESS_SAMPLER", None)
-        first = res.start_process_sampler()
-        second = res.start_process_sampler()
-        try:
-            assert first is second is res.process_sampler()
-            assert first.alive
-        finally:
-            first.stop()
-            monkeypatch.setattr(res, "_PROCESS_SAMPLER", None)
-
-    def test_process_sampler_disabled_by_env(self, monkeypatch):
-        monkeypatch.setattr(res, "_PROCESS_SAMPLER", None)
-        monkeypatch.setenv(res.RESOURCE_HZ_ENV, "0")
-        assert res.start_process_sampler() is None
-        assert res.process_sampler() is None
-
-
 class TestAnnotate:
     def test_bracket_guarantees_keys_without_ticks(self):
-        # Fast experiments may finish between background ticks; the
-        # engine's annotate() bracket still stamps every record.
+        # However short the block, the engine's annotate() bracket
+        # stamps every record with all three resource keys.
         registry = Metrics()
         with res.annotate(registry):
             sum(range(10_000))
@@ -179,7 +68,7 @@ class TestAnnotate:
         wall = time.monotonic() - start
         cpu = registry.counters["resources.cpu_s"]
         # CPU of a single-threaded block cannot exceed wall by much
-        # (sampler threads and GC noise get a 3x allowance).
+        # (GC and scheduler noise get a 3x allowance).
         assert 0.0 <= cpu <= max(0.05, wall * 3)
 
 

@@ -134,6 +134,13 @@ class TestGeneratedTopology:
         for asn, node in topo.ases.items():
             assert node.prefixes, f"AS{asn} owns no prefixes"
 
+    def test_exhausted_region_raises(self):
+        # 120 stubs per region need more /16s than a region's /8 holds;
+        # silently skipping the rest would leave ASes with no prefix.
+        with pytest.raises(ValueError, match="ran out of address space"):
+            generate_as_topology(
+                ASTopologyConfig(stubs_per_region=120, seed=2014))
+
     def test_prefixes_have_consistent_origins(self, topo):
         for prefix, asn in topo.all_prefixes():
             assert prefix in topo.ases[asn].prefixes
