@@ -40,6 +40,7 @@ from .envelope import (
     router_updates_per_second,
 )
 from .evaluator import (
+    ContentCosts,
     ContentUpdateCostEvaluator,
     DeviceUpdateCostEvaluator,
     FaultToleranceEvaluator,
@@ -71,6 +72,7 @@ __all__ = [
     "UnionFloodingState",
     "UpdateRateReport",
     "DeviceUpdateCostEvaluator",
+    "ContentCosts",
     "ContentUpdateCostEvaluator",
     "FaultToleranceEvaluator",
     "MobilityTimeline",

@@ -35,24 +35,21 @@ from ..forwarding.convergence import DEFAULT_RETRANSMIT, ConvergenceSimulator
 from ..measurement.vantage import ContentMeasurement
 from ..mobility import MobilityEvent
 from ..resolution import NameResolutionService, RetryingResolver
-from ..routing import RoutingOracle, VantagePoint
+from ..routing import RoutingOracle, VantagePoint, rank_key
 from ..stats import median, sequential_sum
 from ..topology import Graph
 from ..workload import DeviceEventColumns, require_numpy
 from ..workload.columns import unique_with_inverse
 from .architectures import IndirectionRouting
 from .displacement import InterdomainPortMap
-from .strategies import (
-    ContentPortMapper,
-    ForwardingStrategy,
-    UnionFloodingState,
-)
+from .strategies import ContentPortMapper, ForwardingStrategy
 
 np = require_numpy()
 
 __all__ = [
     "UpdateRateReport",
     "DeviceUpdateCostEvaluator",
+    "ContentCosts",
     "ContentUpdateCostEvaluator",
     "pearson_correlation",
     "per_day_update_rates",
@@ -61,6 +58,17 @@ __all__ = [
 ]
 
 Node = Hashable
+
+#: The strategies whose forwarding state is a port set.
+_FLOODING = (
+    ForwardingStrategy.CONTROLLED_FLOODING,
+    ForwardingStrategy.UNION_FLOODING,
+)
+
+#: Change points the content pass reduces at once. The bench's
+#: measurement (~13K rows) is one batch; at paper scale (~373K rows)
+#: batches keep the pair columns and per-router grids to a few MB.
+_BATCH_ROWS = 1 << 16
 
 
 @dataclass
@@ -181,13 +189,132 @@ class DeviceUpdateCostEvaluator:
         return flags
 
 
+@dataclass(frozen=True)
+class ContentCosts:
+    """Every §3.3 content cost of one measurement, at every router.
+
+    What :meth:`ContentUpdateCostEvaluator.costs` computes in its one
+    pass: update counts for all three strategies and, for the two
+    flooding strategies, port-set sizes weighted by the hours each
+    ``Addrs(d, t)`` set stood, plus each name's final port-set size.
+    All are integers, so every rate and copies value is one division
+    away from them.
+    """
+
+    #: Router names, in the evaluator's order.
+    routers: Tuple[str, ...]
+    num_events: int
+    num_names: int
+    #: Hours summed over every name's measurement period.
+    total_hours: int
+    #: ``updates[strategy][router]``: events that change router state.
+    updates: Dict[ForwardingStrategy, Dict[str, int]]
+    #: ``port_hours[strategy][router]``: port-set size times the hours
+    #: it stood, summed over change points (flooding strategies).
+    port_hours: Dict[ForwardingStrategy, Dict[str, int]]
+    #: ``entries[strategy][router]``: each name's final port-set size,
+    #: summed over names (flooding strategies).
+    entries: Dict[ForwardingStrategy, Dict[str, int]]
+
+    def report(self, strategy: ForwardingStrategy) -> UpdateRateReport:
+        """Per-router update rates for ``strategy``, in fresh dicts."""
+        updates = dict(self.updates[strategy])
+        count = self.num_events
+        rates = {
+            name: (n / count if count else 0.0) for name, n in updates.items()
+        }
+        return UpdateRateReport(rates=rates, num_events=count, updates=updates)
+
+    def copies_per_packet(
+        self, strategy: ForwardingStrategy, router: str
+    ) -> float:
+        """Copies sent per forwarded packet, averaged over time."""
+        if strategy is ForwardingStrategy.BEST_PORT:
+            return 1.0
+        hours = self.total_hours
+        return self.port_hours[strategy][router] / hours if hours else 0.0
+
+    def table_entries(self, strategy: ForwardingStrategy, router: str) -> int:
+        """(name, port) entries held at the end of the measurement."""
+        if strategy is ForwardingStrategy.BEST_PORT:
+            return self.num_names
+        return self.entries[strategy][router]
+
+
+class _Rows:
+    """Every name's change points, stacked in name order.
+
+    Row ``first[n]`` holds name ``n``'s initial address set and each
+    following row up to ``last[n]`` one of its mobility events.
+    """
+
+    def __init__(self, matrices: Sequence, total_hours: Sequence[int]):
+        counts = np.array([len(m.hours) for m in matrices], dtype=np.int64)
+        self.count = int(counts.sum())
+        self.first = np.cumsum(counts) - counts
+        self.last = self.first + counts - 1
+        #: Each row's name index.
+        self.name = np.repeat(np.arange(len(matrices), dtype=np.int32), counts)
+        hours = np.concatenate(
+            [np.zeros(0, dtype=np.int64)] + [m.hours for m in matrices]
+        )
+        #: Hours each row's set stands: up to the name's next change
+        #: point, or to the end of its period on its last row.
+        self.stay = np.empty(self.count, dtype=np.int64)
+        self.stay[:-1] = hours[1:] - hours[:-1]
+        self.stay[self.last] = (
+            np.asarray(total_hours, dtype=np.int64) - hours[self.last]
+        )
+        self._event = np.ones(self.count, dtype=bool)
+        self._event[self.first] = False
+
+    def updates(self, changed) -> int:
+        """Events whose row differs from the row before it.
+
+        ``changed[i]`` compares row ``i + 1`` with row ``i``; the pair
+        across two names is no event and is skipped.
+        """
+        return int(np.count_nonzero(changed & self._event[1:]))
+
+    def flooding(self, sizes, changed) -> Tuple[int, int, int]:
+        """``(updates, port-hours, entries)`` of one port-set series."""
+        return (
+            self.updates(changed),
+            int(self.stay @ sizes),
+            int(sizes[self.last].sum()),
+        )
+
+
 class ContentUpdateCostEvaluator:
-    """Fig. 11(b)/(c): content mobility update rates per strategy."""
+    """Fig. 11(b)/(c) and §3.3.3: content mobility costs per router.
+
+    :meth:`costs` reduces a measurement once for every router and
+    strategy and memoizes the result; :meth:`evaluate`,
+    :meth:`union_table_sizes` and
+    :func:`~repro.core.tradeoff.evaluate_tradeoff` read it. The parity
+    tests hold every read to the per-event §3.3.1 definitions of
+    :meth:`ContentPortMapper.update_for_event` and the §3.3.3 replays
+    in ``tests/reference``.
+    """
 
     def __init__(self, routers: Sequence[VantagePoint], oracle: RoutingOracle):
         if not routers:
             raise ValueError("need at least one vantage router")
+        self._oracle = oracle
         self._mappers = [ContentPortMapper(r, oracle) for r in routers]
+        #: ``id(measurement) -> (measurement, costs)``; holding the
+        #: measurement keeps its id from passing to another object.
+        self._memo: Dict[int, Tuple[ContentMeasurement, ContentCosts]] = {}
+
+    def costs(self, measurement: ContentMeasurement) -> ContentCosts:
+        """Every content cost of ``measurement``: one pass, memoized."""
+        entry = self._memo.get(id(measurement))
+        if entry is None:
+            with obs.span("evaluator.batch.content"):
+                costs = self._reduce(measurement)
+                obs.incr("evaluator.batch.content.events", costs.num_events)
+            entry = self._memo[id(measurement)] = (measurement, costs)
+        return entry[1]
 
     def evaluate(
         self,
@@ -196,113 +323,173 @@ class ContentUpdateCostEvaluator:
     ) -> UpdateRateReport:
         """Per-router update rate over every event in ``measurement``.
 
-        Reduces each name's columnar ``Addrs(d, t)`` membership matrix
-        per router with a handful of numpy operations (rank gather +
-        row minimum for best-port, a port one-hot product for the
-        flooding variants) — exactly the §3.3.1 definitions, which the
-        parity tests apply event by event through
-        :meth:`ContentPortMapper.update_for_event`.
+        A read of :meth:`costs`: the first call for a measurement makes
+        its pass, every later one builds the report from the memo.
         """
-        updates = {m.vantage.name: 0 for m in self._mappers}
-        count = 0
-        with obs.span("evaluator.batch.content"):
-            for name in measurement.names():
-                matrix = measurement.matrix(name)
-                count += matrix.num_events
-                if matrix.num_events == 0:
-                    continue
-                for mapper in self._mappers:
-                    updates[mapper.vantage.name] += self._count_updates(
-                        mapper, matrix, strategy
-                    )
-            obs.incr("evaluator.batch.content.events", count)
-        rates = {
-            name: (n / count if count else 0.0) for name, n in updates.items()
-        }
-        return UpdateRateReport(rates=rates, num_events=count, updates=updates)
-
-    @staticmethod
-    def _count_updates(
-        mapper: ContentPortMapper, matrix, strategy: ForwardingStrategy
-    ) -> int:
-        """Count one router's updates along one columnar timeline.
-
-        Parity with the per-event definitions rests on two facts: equal
-        :func:`~repro.routing.rank_key` implies equal next hop (the
-        next hop is the key's final tiebreak), so the row-minimum rank
-        determines the best port exactly as
-        :meth:`ContentPortMapper.best_port` does; and the flooding port
-        set is a pure function of the addresses present (or ever seen,
-        for union) in a row.
-        """
-        from ..routing import rank_key
-
-        routes = mapper.routes_for_addresses(matrix.addrs)
-        ports = np.array(
-            [-1 if r is None else r.next_hop for r in routes], dtype=np.int64
-        )
-        routed = ports >= 0
-        if not routed.any():
-            # No address ever routed: ports stay empty/None throughout.
-            return 0
-        membership = matrix.membership
-
-        if strategy is ForwardingStrategy.BEST_PORT:
-            keyed = [None if r is None else rank_key(r) for r in routes]
-            key_port = {
-                k: int(p)
-                for k, p in zip(keyed, ports.tolist())
-                if k is not None
-            }
-            uniq_keys = sorted(key_port)
-            key_rank = {k: i for i, k in enumerate(uniq_keys)}
-            none_rank = len(uniq_keys)
-            addr_rank = np.array(
-                [none_rank if k is None else key_rank[k] for k in keyed],
-                dtype=np.int64,
-            )
-            port_of_rank = np.array(
-                [key_port[k] for k in uniq_keys] + [-1], dtype=np.int64
-            )
-            grid = np.where(
-                membership & routed[None, :], addr_rank[None, :], none_rank
-            )
-            row_port = port_of_rank[grid.min(axis=1)]
-            return int(np.count_nonzero(row_port[1:] != row_port[:-1]))
-
-        # Flooding variants: project rows onto port presence via a
-        # one-hot (routed address -> port) matrix. int32 accumulators —
-        # a uint8 product would overflow past 255 addresses per port.
-        routed_idx = np.nonzero(routed)[0]
-        present = membership[:, routed_idx].astype(np.int32)
-        if strategy is ForwardingStrategy.UNION_FLOODING:
-            # The union of all addresses seen so far only ever grows.
-            present = np.maximum.accumulate(present, axis=0)
-        elif strategy is not ForwardingStrategy.CONTROLLED_FLOODING:
-            raise ValueError(f"unknown strategy: {strategy!r}")
-        _, port_inverse = unique_with_inverse(ports[routed_idx])
-        onehot = np.zeros(
-            (len(routed_idx), int(port_inverse.max()) + 1), dtype=np.int32
-        )
-        onehot[np.arange(len(routed_idx)), port_inverse] = 1
-        port_presence = (present @ onehot) > 0
-        changed = (port_presence[1:] != port_presence[:-1]).any(axis=1)
-        return int(np.count_nonzero(changed))
+        return self.costs(measurement).report(strategy)
 
     def union_table_sizes(
         self, measurement: ContentMeasurement
     ) -> Dict[str, int]:
         """Accumulated union-strategy state per router (the §3.3.3 cost)."""
-        sizes = {}
-        for mapper in self._mappers:
-            state = UnionFloodingState()
-            for name in measurement.names():
-                timeline = measurement.timeline(name)
-                state.observe(mapper, name, timeline.set_at(0))
-                for event in timeline.events():
-                    state.observe(mapper, name, event.new_addrs)
-            sizes[mapper.vantage.name] = state.table_size()
-        return sizes
+        return dict(
+            self.costs(measurement).entries[ForwardingStrategy.UNION_FLOODING]
+        )
+
+    def _reduce(self, measurement: ContentMeasurement) -> ContentCosts:
+        names = measurement.names()
+        prefix_ids = _PrefixIds(self._oracle.topology)
+        # [router, strategy in _router_costs' order, (updates,
+        # port-hours, entries)]
+        sums = np.zeros((len(self._mappers), 3, 3), dtype=np.int64)
+        num_events = total_hours = 0
+        for batch in _batches([measurement.timeline(n) for n in names]):
+            matrices = [timeline.as_matrix() for timeline in batch]
+            rows = _Rows(matrices, [t.total_hours for t in batch])
+            pairs = prefix_ids.pairs(matrices, rows)
+            prefixes = prefix_ids.prefixes
+            for costs, mapper in zip(sums, self._mappers):
+                routes = [mapper.route_for_prefix(p) for p in prefixes]
+                costs += _router_costs(routes, pairs, rows)
+            num_events += rows.count - len(batch)
+            total_hours += int(rows.stay.sum())
+        routers = tuple(m.vantage.name for m in self._mappers)
+        order = (ForwardingStrategy.BEST_PORT,) + _FLOODING
+
+        def per_router(strategy, field) -> Dict[str, int]:
+            column = sums[:, order.index(strategy), field].tolist()
+            return dict(zip(routers, column))
+
+        return ContentCosts(
+            routers=routers,
+            num_events=num_events,
+            num_names=len(names),
+            total_hours=total_hours,
+            updates={s: per_router(s, 0) for s in ForwardingStrategy},
+            port_hours={s: per_router(s, 1) for s in _FLOODING},
+            entries={s: per_router(s, 2) for s in _FLOODING},
+        )
+
+
+def _batches(timelines: Sequence) -> Iterable[List]:
+    """Consecutive runs of timelines, about ``_BATCH_ROWS`` rows each."""
+    batch, rows = [], 0
+    for timeline in timelines:
+        batch.append(timeline)
+        rows += timeline.num_changes() + 1
+        if rows >= _BATCH_ROWS:
+            yield batch
+            batch, rows = [], 0
+    if batch:
+        yield batch
+
+
+class _PrefixIds:
+    """Covering-prefix ids; each unique address is resolved once."""
+
+    def __init__(self, topology):
+        self._covering = topology.covering_prefix
+        self._prefix_ids: Dict = {}
+        self._address_ids: Dict = {}
+
+    @property
+    def prefixes(self) -> List:
+        """Every prefix seen so far, in id order."""
+        return list(self._prefix_ids)
+
+    def of(self, addresses) -> "np.ndarray":
+        """Each address's prefix id (-1 when no prefix covers it)."""
+        ids = []
+        for address in addresses:
+            pid = self._address_ids.get(address)
+            if pid is None:
+                prefix = self._covering(address)
+                pid = self._address_ids[address] = (
+                    -1 if prefix is None
+                    else self._prefix_ids.setdefault(
+                        prefix, len(self._prefix_ids)
+                    )
+                )
+            ids.append(pid)
+        return np.array(ids, dtype=np.int64)
+
+    def pairs(self, matrices: Sequence, rows: _Rows):
+        """Distinct ``(row, prefix id)`` pairs as int32 columns.
+
+        Addresses no prefix covers drop out, and addresses one prefix
+        covers collapse into one pair per row.
+        """
+        pair_rows = [np.zeros(0, dtype=np.int32)]
+        pair_pids = [np.zeros(0, dtype=np.int32)]
+        for first, matrix in zip(rows.first.tolist(), matrices):
+            ids = self.of(matrix.addrs)
+            row, column = np.nonzero(matrix.membership)
+            pid = ids[column]
+            covered = pid >= 0
+            width = max(len(self._prefix_ids), 1)
+            row, pid = np.divmod(
+                np.unique(row[covered] * width + pid[covered]), width
+            )
+            pair_rows.append((row + first).astype(np.int32))
+            pair_pids.append(pid.astype(np.int32))
+        return np.concatenate(pair_rows), np.concatenate(pair_pids)
+
+
+def _router_costs(routes: Sequence, pairs, rows: _Rows):
+    """One router's ``(updates, port-hours, entries)`` per strategy.
+
+    Returns best-port's, controlled flooding's and union flooding's, in
+    that order; best-port holds no port set, so its port-hours and
+    entries are 0.
+
+    ``routes[i]`` is the router's route to prefix ``i`` (None when it
+    has none). Parity with the per-event definitions rests on two
+    facts: equal :func:`~repro.routing.rank_key` implies equal next hop
+    (the next hop is the key's final tiebreak), so the row-minimum rank
+    names the best port exactly as :meth:`ContentPortMapper.best_port`
+    does; and a flooding port set is a pure function of the prefixes
+    present in a row (or ever seen, for union).
+    """
+    row, pid = pairs
+    keys = [None if r is None else rank_key(r) for r in routes]
+    ranked = {k: i for i, k in enumerate(sorted(set(keys) - {None}))}
+    ports = sorted({r.next_hop for r in routes if r is not None})
+    columns = {port: j for j, port in enumerate(ports)}
+    # Unrouted prefixes take port -1, the last rank and a last, unread
+    # column.
+    port = [-1 if r is None else r.next_hop for r in routes]
+    rank = np.array([ranked.get(k, len(ranked)) for k in keys], dtype=np.int32)
+    column = np.array(
+        [columns.get(p, len(ports)) for p in port], dtype=np.int32
+    )
+    port_of_rank = np.full(len(ranked) + 1, -1, dtype=np.int64)
+    port_of_rank[rank] = port
+
+    best = np.full(rows.count, len(ranked), dtype=np.int32)
+    np.minimum.at(best, row, rank[pid])
+    best_port = port_of_rank[best]
+    best_updates = rows.updates(best_port[1:] != best_port[:-1])
+
+    pair_column = column[pid]
+    grid = np.zeros((rows.count, len(ports) + 1), dtype=bool)
+    grid[row, pair_column] = True
+    grid = grid[:, :-1]
+    flooding = rows.flooding(
+        np.count_nonzero(grid, axis=1), (grid[1:] != grid[:-1]).any(axis=1)
+    )
+
+    # A port joins a name's union at the first row that routes to it.
+    first = np.full(
+        (len(rows.first), len(ports) + 1), rows.count, dtype=np.int32
+    )
+    np.minimum.at(first, (rows.name[row], pair_column), row)
+    first = first[:, :-1]
+    joined = np.bincount(first[first < rows.count], minlength=rows.count)
+    running = np.cumsum(joined)
+    union = rows.flooding(
+        running - (running - joined)[rows.first][rows.name], joined[1:] > 0
+    )
+    return (best_updates, 0, 0), flooding, union
 
 
 def per_day_update_rates(

@@ -52,19 +52,20 @@ class ContentPortMapper:
         self._route_cache: Dict[IPv4Prefix, Optional[Route]] = {}
         self._addr_cache: Dict[IPv4Address, Optional[Route]] = {}
 
+    def route_for_prefix(self, prefix: IPv4Prefix) -> Optional[Route]:
+        """The top-ranked RIB route for ``prefix`` (cached)."""
+        if prefix not in self._route_cache:
+            self._route_cache[prefix] = self.vantage.fib_best(
+                self._oracle, prefix
+            )
+        return self._route_cache[prefix]
+
     def best_route_for_address(self, address: IPv4Address) -> Optional[Route]:
         """The top-ranked RIB route covering ``address``."""
         if address in self._addr_cache:
             return self._addr_cache[address]
         prefix = self._oracle.topology.covering_prefix(address)
-        if prefix is None:
-            route = None
-        else:
-            if prefix not in self._route_cache:
-                self._route_cache[prefix] = self.vantage.fib_best(
-                    self._oracle, prefix
-                )
-            route = self._route_cache[prefix]
+        route = None if prefix is None else self.route_for_prefix(prefix)
         self._addr_cache[address] = route
         return route
 
@@ -73,8 +74,7 @@ class ContentPortMapper:
 
         Returns ``[Optional[Route], ...]`` aligned with ``addrs``,
         filling the per-address/per-prefix caches of
-        :meth:`best_route_for_address` — the gather step the vectorized
-        content evaluator turns into rank/port arrays.
+        :meth:`best_route_for_address`.
         """
         return [self.best_route_for_address(addr) for addr in addrs]
 

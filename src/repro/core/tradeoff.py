@@ -19,12 +19,11 @@ corners for every strategy:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from ..measurement.vantage import ContentMeasurement
-from ..routing import RoutingOracle, VantagePoint
 from .evaluator import ContentUpdateCostEvaluator
-from .strategies import ContentPortMapper, ForwardingStrategy
+from .strategies import ForwardingStrategy
 
 __all__ = ["StrategyCosts", "TradeoffResult", "evaluate_tradeoff"]
 
@@ -60,89 +59,32 @@ class TradeoffResult:
         raise KeyError((strategy, router))
 
 
-def _time_averaged_port_sets(
-    mapper: ContentPortMapper,
-    measurement: ContentMeasurement,
-    accumulate: bool,
-) -> Dict[str, float]:
-    """Average eligible-port-set size per name, weighted by residence time.
-
-    With ``accumulate=True`` the port set is the running union (the
-    union-flooding data plane); otherwise it is the instantaneous set.
-    Returns {"copies": time-averaged copies, "entries": final entries}.
-    """
-    total_hours = 0.0
-    weighted_copies = 0.0
-    entries = 0
-    for name in measurement.names():
-        timeline = measurement.timeline(name)
-        union_ports: set = set()
-        prev_hour = 0
-        current_ports = mapper.eligible_ports(timeline.set_at(0))
-        union_ports |= current_ports
-        events = timeline.events()
-        for event in events + [None]:
-            end_hour = timeline.total_hours if event is None else event.hour
-            span = end_hour - prev_hour
-            size = len(union_ports) if accumulate else len(current_ports)
-            weighted_copies += span * size
-            total_hours += span
-            if event is None:
-                break
-            prev_hour = event.hour
-            current_ports = mapper.eligible_ports(event.new_addrs)
-            union_ports |= current_ports
-        entries += len(union_ports) if accumulate else len(current_ports)
-    return {
-        "copies": weighted_copies / total_hours if total_hours else 0.0,
-        "entries": float(entries),
-    }
-
-
 def evaluate_tradeoff(
-    routers: List[VantagePoint],
-    oracle: RoutingOracle,
+    evaluator: ContentUpdateCostEvaluator,
     measurement: ContentMeasurement,
 ) -> TradeoffResult:
-    """Quantify all three §3.3.3 costs for all three strategies."""
-    evaluator = ContentUpdateCostEvaluator(routers, oracle)
-    reports = {
-        strategy: evaluator.evaluate(measurement, strategy)
-        for strategy in ForwardingStrategy
-    }
-    costs: List[StrategyCosts] = []
-    names = measurement.names()
-    for router in routers:
-        mapper = ContentPortMapper(router, oracle)
-        flooding_stats = _time_averaged_port_sets(
-            mapper, measurement, accumulate=False
-        )
-        union_stats = _time_averaged_port_sets(
-            mapper, measurement, accumulate=True
-        )
-        per_strategy = {
-            ForwardingStrategy.BEST_PORT: (1.0, float(len(names))),
-            ForwardingStrategy.CONTROLLED_FLOODING: (
-                flooding_stats["copies"],
-                flooding_stats["entries"],
-            ),
-            ForwardingStrategy.UNION_FLOODING: (
-                union_stats["copies"],
-                union_stats["entries"],
-            ),
-        }
-        for strategy, (copies, entries) in per_strategy.items():
-            costs.append(
-                StrategyCosts(
-                    strategy=strategy,
-                    router=router.name,
-                    update_rate=reports[strategy].rates[router.name],
-                    avg_copies_per_packet=copies,
-                    table_entries=int(entries),
-                )
-            )
+    """Quantify all three §3.3.3 costs for all three strategies.
+
+    Reads the evaluator's one pass over ``measurement``
+    (:meth:`ContentUpdateCostEvaluator.costs`), so it shares that pass
+    with every other reader of the same measurement.
+    """
+    costs = evaluator.costs(measurement)
+    reports = {s: costs.report(s) for s in ForwardingStrategy}
     return TradeoffResult(
-        costs=costs,
-        num_events=reports[ForwardingStrategy.BEST_PORT].num_events,
-        num_names=len(names),
+        costs=[
+            StrategyCosts(
+                strategy=strategy,
+                router=router,
+                update_rate=reports[strategy].rates[router],
+                avg_copies_per_packet=costs.copies_per_packet(
+                    strategy, router
+                ),
+                table_entries=costs.table_entries(strategy, router),
+            )
+            for router in costs.routers
+            for strategy in ForwardingStrategy
+        ],
+        num_events=costs.num_events,
+        num_names=costs.num_names,
     )

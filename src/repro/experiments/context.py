@@ -41,6 +41,7 @@ from ..mobility import (
     generate_workload,
 )
 from .. import obs
+from ..core import ContentUpdateCostEvaluator
 from ..engine.cache import ArtifactCache
 from ..routing import RoutingOracle, VantagePoint
 from ..topology import ASTopology, ASTopologyConfig, generate_as_topology
@@ -121,6 +122,7 @@ class World:
         self._hosting: Optional[HostingDirectory] = None
         self._popular: Optional[ContentMeasurement] = None
         self._unpopular: Optional[ContentMeasurement] = None
+        self._content_evaluator: Optional[ContentUpdateCostEvaluator] = None
         self._iplane: Optional[IPlanePredictor] = None
 
     # -- artifact caching --------------------------------------------------
@@ -477,3 +479,16 @@ class World:
         if self._unpopular is None:
             self._unpopular = self._measurement(popular=False)
         return self._unpopular
+
+    @property
+    def content_evaluator(self) -> ContentUpdateCostEvaluator:
+        """Content update costs at the RouteViews routers.
+
+        Shared by every content experiment, so each measurement is
+        reduced once per World however many experiments read it.
+        """
+        if self._content_evaluator is None:
+            self._content_evaluator = ContentUpdateCostEvaluator(
+                self.routeviews, self.oracle
+            )
+        return self._content_evaluator

@@ -17,15 +17,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..core import ContentUpdateCostEvaluator, ForwardingStrategy, UpdateRateReport
+from ..core import ForwardingStrategy, UpdateRateReport
 from ..engine import Series, register
 from ..mobility import cdf_points, percentile
-from ..obs import PaperTarget
+from ..obs import PaperTarget, PerfBudget
 from .context import World
 from .report import banner, render_cdf_summary, render_table
 
 __all__ = ["Fig11Result", "run", "format_result", "series",
-           "PAPER_TARGETS", "target_values"]
+           "PAPER_TARGETS", "PERF_BUDGETS", "target_values"]
+
+#: Wall-time bands ``repro check`` enforces. The small band holds the
+#: run CI scores (pooled, under ``--profile-mem``), where tracemalloc
+#: slows fig11 to 7.7 s on a 2-vCPU host; the paper band is about three
+#: times a cold paper-scale run of fig11 alone (10.7 s). Each band fails
+#: a return to one content pass per experiment (23.9 s and 31.7 s).
+PERF_BUDGETS = (
+    PerfBudget(key="wall_s", hi=20.0, scales=("small",),
+               note="fig11 small-scale wall (CI run)"),
+    PerfBudget(key="wall_s", hi=30.0, scales=("paper",),
+               note="fig11 paper-scale wall"),
+)
 
 #: The paper's Fig. 11(a)/(b) headlines: popular content moves ~2x a
 #: day and flooding always costs more than best-port, with flooding
@@ -89,7 +101,7 @@ def run(world: World) -> Fig11Result:
     """Measure content mobility and evaluate both strategies."""
     popular = world.popular_measurement
     unpopular = world.unpopular_measurement
-    evaluator = ContentUpdateCostEvaluator(world.routeviews, world.oracle)
+    evaluator = world.content_evaluator
     events_per_day = list(popular.daily_event_counts().values())
     return Fig11Result(
         events_per_day=events_per_day,

@@ -1,9 +1,10 @@
 """Per-event update-cost loops: the vectorized evaluators' reference.
 
 Each function replays a workload one event at a time through the
-public displacement and forwarding-strategy APIs — the §3.2 and §3.3.1
-definitions written out directly — and returns what the vectorized
-evaluators in :mod:`repro.core.evaluator` return.
+public displacement and forwarding-strategy APIs — the §3.2, §3.3.1
+and §3.3.3 definitions written out directly — and returns what the
+vectorized evaluators in :mod:`repro.core.evaluator` and
+:mod:`repro.core.tradeoff` return.
 """
 
 from __future__ import annotations
@@ -17,8 +18,16 @@ from repro.core import (
     UpdateRateReport,
 )
 from repro.core.displacement import InterdomainPortMap, interdomain_displaced
+from repro.core.tradeoff import StrategyCosts, TradeoffResult
 
-__all__ = ["device_report", "per_day_rates", "content_report"]
+__all__ = [
+    "device_report",
+    "per_day_rates",
+    "content_report",
+    "time_averaged_port_sets",
+    "union_table_sizes",
+    "tradeoff_result",
+]
 
 
 def _report(updates: Dict[str, int], count: int) -> UpdateRateReport:
@@ -77,3 +86,100 @@ def content_report(
                 ):
                     updates[mapper.vantage.name] += 1
     return _report(updates, count)
+
+
+def time_averaged_port_sets(
+    mapper: ContentPortMapper,
+    measurement,
+    accumulate: bool,
+) -> Dict[str, float]:
+    """Average eligible-port-set size per name, weighted by residence time.
+
+    With ``accumulate=True`` the port set is the running union (the
+    union-flooding data plane); otherwise it is the instantaneous set.
+    Returns {"copies": time-averaged copies, "entries": final entries}.
+    """
+    total_hours = 0.0
+    weighted_copies = 0.0
+    entries = 0
+    for name in measurement.names():
+        timeline = measurement.timeline(name)
+        union_ports: set = set()
+        prev_hour = 0
+        current_ports = mapper.eligible_ports(timeline.set_at(0))
+        union_ports |= current_ports
+        events = timeline.events()
+        for event in events + [None]:
+            end_hour = timeline.total_hours if event is None else event.hour
+            span = end_hour - prev_hour
+            size = len(union_ports) if accumulate else len(current_ports)
+            weighted_copies += span * size
+            total_hours += span
+            if event is None:
+                break
+            prev_hour = event.hour
+            current_ports = mapper.eligible_ports(event.new_addrs)
+            union_ports |= current_ports
+        entries += len(union_ports) if accumulate else len(current_ports)
+    return {
+        "copies": weighted_copies / total_hours if total_hours else 0.0,
+        "entries": float(entries),
+    }
+
+
+def union_table_sizes(routers, oracle, measurement) -> Dict[str, int]:
+    """§3.3.3 union state per router: every event folded into the union."""
+    sizes = {}
+    for mapper in [ContentPortMapper(r, oracle) for r in routers]:
+        state = UnionFloodingState()
+        for name in measurement.names():
+            timeline = measurement.timeline(name)
+            state.observe(mapper, name, timeline.set_at(0))
+            for event in timeline.events():
+                state.observe(mapper, name, event.new_addrs)
+        sizes[mapper.vantage.name] = state.table_size()
+    return sizes
+
+
+def tradeoff_result(routers, oracle, measurement) -> TradeoffResult:
+    """The §3.3.3 cost triangle: per-event rates, replayed port sets."""
+    reports = {
+        strategy: content_report(routers, oracle, measurement, strategy)
+        for strategy in ForwardingStrategy
+    }
+    costs: List[StrategyCosts] = []
+    names = measurement.names()
+    for router in routers:
+        mapper = ContentPortMapper(router, oracle)
+        flooding_stats = time_averaged_port_sets(
+            mapper, measurement, accumulate=False
+        )
+        union_stats = time_averaged_port_sets(
+            mapper, measurement, accumulate=True
+        )
+        per_strategy = {
+            ForwardingStrategy.BEST_PORT: (1.0, float(len(names))),
+            ForwardingStrategy.CONTROLLED_FLOODING: (
+                flooding_stats["copies"],
+                flooding_stats["entries"],
+            ),
+            ForwardingStrategy.UNION_FLOODING: (
+                union_stats["copies"],
+                union_stats["entries"],
+            ),
+        }
+        for strategy, (copies, entries) in per_strategy.items():
+            costs.append(
+                StrategyCosts(
+                    strategy=strategy,
+                    router=router.name,
+                    update_rate=reports[strategy].rates[router.name],
+                    avg_copies_per_packet=copies,
+                    table_entries=int(entries),
+                )
+            )
+    return TradeoffResult(
+        costs=costs,
+        num_events=reports[ForwardingStrategy.BEST_PORT].num_events,
+        num_names=len(names),
+    )

@@ -9,23 +9,34 @@ routes from the dict-BFS reference oracle). These tests run both and
 compare everything, including digests.
 """
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.content import AddressTimeline
+from repro.core import evaluator as evaluator_module
 from repro.core import (
     ContentUpdateCostEvaluator,
     DeviceUpdateCostEvaluator,
     ForwardingStrategy,
+    evaluate_tradeoff,
     per_day_update_rates,
 )
 from repro.mobility import MobilityEvent
+from repro.net import ContentName, parse_address, parse_prefix
 from repro.obs.history import digest_series
-from repro.routing import RoutingOracle
+from repro.routing import RoutingOracle, VantagePoint
+from repro.topology import Relationship
 from repro.workload import DeviceEventColumns
 
 from tests.reference.evaluators import (
     content_report,
     device_report,
     per_day_rates,
+    tradeoff_result,
+    union_table_sizes,
 )
 from tests.reference.routing import ReferenceOracle
 from tests.test_core_evaluator import (
@@ -168,3 +179,96 @@ class TestContentParity:
             meas, strategy
         )
         assert_reports_identical(vector, reference)
+
+
+#: Content addresses over :func:`content_internet` plus two prefixes:
+#: three prefixes behind port 3 (one a shorter path), two addresses in
+#: one prefix, one prefix behind port 4, and an unannounced address.
+CONTENT_ADDRESSES = (
+    "10.3.0.1", "10.6.0.1", "10.6.0.5", "10.16.0.1", "10.7.0.1",
+    "192.168.0.1",
+)
+
+
+def content_routers():
+    """Three vantages, the array oracle, and the dict-BFS reference.
+
+    ``vp`` reaches every prefix over two peers, ``east`` only AS 7's
+    (the other prefixes are covered but unrouted there), and ``cust``
+    everything through one provider port.
+    """
+    topo = content_internet()
+    topo.assign_prefix(3, parse_prefix("10.3.0.0/16"))
+    topo.assign_prefix(6, parse_prefix("10.16.0.0/16"))
+    routers = [
+        vantage("vp"),
+        VantagePoint(name="east", host_region="us-east",
+                     neighbors={4: Relationship.PEER}),
+        VantagePoint(name="cust", host_region="us-west",
+                     neighbors={1: Relationship.PROVIDER}),
+    ]
+    return routers, RoutingOracle(topo), ReferenceOracle(topo)
+
+
+@st.composite
+def content_measurements(draw):
+    """Random timelines: empty sets, single-row names and revisits."""
+    timelines = []
+    for index in range(draw(st.integers(0, 4))):
+        total = draw(st.integers(1, 30))
+        hours = sorted(draw(st.sets(st.integers(1, 29), max_size=8)))
+        hours = [h for h in hours if h < total]
+        sets = [
+            frozenset(
+                parse_address(a)
+                for a in draw(st.sets(st.sampled_from(CONTENT_ADDRESSES),
+                                      max_size=4))
+            )
+            for _ in range(len(hours) + 1)
+        ]
+        timelines.append(AddressTimeline(
+            ContentName.from_domain(f"n{index}.com"), total_hours=total,
+            changes=list(zip([0] + hours, sets)),
+        ))
+    return measurement(timelines)
+
+
+class TestContentCostsParity:
+    """One pass per measurement equals every per-event reference."""
+
+    def assert_costs_identical(self, meas):
+        routers, oracle, reference_oracle = content_routers()
+        evaluator = ContentUpdateCostEvaluator(routers, oracle)
+        for strategy in ForwardingStrategy:
+            assert_reports_identical(
+                evaluator.evaluate(meas, strategy),
+                content_report(routers, reference_oracle, meas, strategy),
+            )
+        assert evaluate_tradeoff(evaluator, meas) == tradeoff_result(
+            routers, reference_oracle, meas
+        )
+        assert evaluator.union_table_sizes(meas) == union_table_sizes(
+            routers, reference_oracle, meas
+        )
+        # Paper-scale measurements span several row batches; two-row
+        # batches put every name boundary case through the summing.
+        with mock.patch.object(evaluator_module, "_BATCH_ROWS", 2):
+            batched = ContentUpdateCostEvaluator(routers, oracle).costs(meas)
+        assert batched == evaluator.costs(meas)
+
+    @settings(max_examples=50, deadline=None)
+    @given(content_measurements())
+    def test_random_timelines(self, meas):
+        self.assert_costs_identical(meas)
+
+    def test_fixed_measurement(self):
+        self.assert_costs_identical(content_measurement())
+
+    def test_empty_measurement(self):
+        meas = measurement([])
+        self.assert_costs_identical(meas)
+        routers, oracle, _ = content_routers()
+        evaluator = ContentUpdateCostEvaluator(routers, oracle)
+        report = evaluator.evaluate(meas, ForwardingStrategy.BEST_PORT)
+        assert report.num_events == 0
+        assert set(report.rates.values()) == {0.0}

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.content import AddressTimeline
-from repro.core import ForwardingStrategy
+from repro.core import ContentUpdateCostEvaluator, ForwardingStrategy
 from repro.core.tradeoff import evaluate_tradeoff
 from repro.measurement.vantage import (
     ContentMeasurement,
@@ -48,7 +48,7 @@ def measurement(timelines):
 
 
 @pytest.fixture()
-def setup():
+def evaluator():
     topo = content_internet()
     oracle = RoutingOracle(topo)
     router = VantagePoint(
@@ -56,48 +56,44 @@ def setup():
         host_region="us-west",
         neighbors={3: Relationship.PEER, 4: Relationship.PEER},
     )
-    return oracle, router
+    return ContentUpdateCostEvaluator([router], oracle)
 
 
 class TestTradeoff:
-    def test_best_port_always_one_copy(self, setup):
-        oracle, router = setup
+    def test_best_port_always_one_copy(self, evaluator):
         meas = measurement(
             [timeline("a.com", [(0, ["10.6.0.1", "10.7.0.1"])])]
         )
-        result = evaluate_tradeoff([router], oracle, meas)
+        result = evaluate_tradeoff(evaluator, meas)
         bp = result.at(ForwardingStrategy.BEST_PORT, "vp")
         assert bp.avg_copies_per_packet == 1.0
         assert bp.table_entries == 1
 
-    def test_flooding_copies_track_port_set(self, setup):
-        oracle, router = setup
+    def test_flooding_copies_track_port_set(self, evaluator):
         # Two ports for the whole period -> 2 copies per packet.
         meas = measurement(
             [timeline("a.com", [(0, ["10.6.0.1", "10.7.0.1"])])]
         )
-        result = evaluate_tradeoff([router], oracle, meas)
+        result = evaluate_tradeoff(evaluator, meas)
         fl = result.at(ForwardingStrategy.CONTROLLED_FLOODING, "vp")
         assert fl.avg_copies_per_packet == pytest.approx(2.0)
 
-    def test_flooding_copies_time_weighted(self, setup):
-        oracle, router = setup
+    def test_flooding_copies_time_weighted(self, evaluator):
         # One port for the first 24h, two for the second 24h -> 1.5.
         meas = measurement(
             [timeline("a.com", [(0, ["10.6.0.1"]),
                                 (24, ["10.6.0.1", "10.7.0.1"])])]
         )
-        result = evaluate_tradeoff([router], oracle, meas)
+        result = evaluate_tradeoff(evaluator, meas)
         fl = result.at(ForwardingStrategy.CONTROLLED_FLOODING, "vp")
         assert fl.avg_copies_per_packet == pytest.approx(1.5)
 
-    def test_union_accumulates(self, setup):
-        oracle, router = setup
+    def test_union_accumulates(self, evaluator):
         # Visits port 3 then port 4: union holds both forever after.
         meas = measurement(
             [timeline("a.com", [(0, ["10.6.0.1"]), (24, ["10.7.0.1"])])]
         )
-        result = evaluate_tradeoff([router], oracle, meas)
+        result = evaluate_tradeoff(evaluator, meas)
         fl = result.at(ForwardingStrategy.CONTROLLED_FLOODING, "vp")
         un = result.at(ForwardingStrategy.UNION_FLOODING, "vp")
         assert fl.avg_copies_per_packet == pytest.approx(1.0)
@@ -105,22 +101,20 @@ class TestTradeoff:
         assert un.table_entries == 2
         assert fl.table_entries == 1  # instantaneous set at the end
 
-    def test_union_updates_not_more_than_flooding(self, setup):
-        oracle, router = setup
+    def test_union_updates_not_more_than_flooding(self, evaluator):
         sets = [(0, ["10.6.0.1"])]
         for i in range(1, 12):
             sets.append((i * 2, ["10.7.0.1"] if i % 2 else ["10.6.0.1"]))
         meas = measurement([timeline("a.com", sets)])
-        result = evaluate_tradeoff([router], oracle, meas)
+        result = evaluate_tradeoff(evaluator, meas)
         fl = result.at(ForwardingStrategy.CONTROLLED_FLOODING, "vp")
         un = result.at(ForwardingStrategy.UNION_FLOODING, "vp")
         assert un.update_rate <= fl.update_rate
         assert un.update_rate < 0.2
 
-    def test_all_strategy_router_pairs_present(self, setup):
-        oracle, router = setup
+    def test_all_strategy_router_pairs_present(self, evaluator):
         meas = measurement([timeline("a.com", [(0, ["10.6.0.1"])])])
-        result = evaluate_tradeoff([router], oracle, meas)
+        result = evaluate_tradeoff(evaluator, meas)
         assert len(result.costs) == 3
         with pytest.raises(KeyError):
             result.at(ForwardingStrategy.BEST_PORT, "nope")

@@ -10,12 +10,21 @@ import io
 
 import pytest
 
+from repro import obs
 from repro.core import (
     ContentUpdateCostEvaluator,
     DeviceUpdateCostEvaluator,
     ForwardingStrategy,
 )
-from repro.experiments import SMALL_SCALE, World, exp_fig8, exp_fig11
+from repro.experiments import (
+    SMALL_SCALE,
+    World,
+    exp_ablation_tradeoff,
+    exp_ablation_union,
+    exp_fig8,
+    exp_fig11,
+)
+from repro.measurement import ContentMeasurement
 from repro.mobility import read_trace, user_averages, write_trace
 from repro.routing import RoutingOracle
 
@@ -51,6 +60,38 @@ class TestHarnessMatchesEvaluators:
             world.routeviews, fresh
         ).evaluate(world.device_events)
         assert direct.rates == exp_fig8.run(world).report.rates
+
+
+class TestOneContentPass:
+    def test_content_experiments_share_one_pass_per_measurement(self):
+        world = World(SMALL_SCALE)
+        with obs.using(obs.Metrics()) as collector:
+            exp_fig11.run(world)
+            exp_ablation_union.run(world)
+            exp_ablation_tradeoff.run(world)
+        # One pass for the popular measurement, one for the unpopular.
+        assert collector.timers["evaluator.batch.content"]["count"] == 2
+
+        evaluator = world.content_evaluator
+        popular = world.popular_measurement
+        strategy = ForwardingStrategy.UNION_FLOODING
+        report = evaluator.evaluate(popular, strategy)
+        rates, updates = dict(report.rates), dict(report.updates)
+        report.rates.clear()
+        report.updates["Mauritius"] = -1
+        evaluator.union_table_sizes(popular).clear()
+        again = evaluator.evaluate(popular, strategy)
+        assert (again.rates, again.updates) == (rates, updates)
+        assert evaluator.union_table_sizes(popular)
+
+        copy = ContentMeasurement(
+            dict(popular.timelines), popular.fleet, popular.config
+        )
+        with obs.using(obs.Metrics()) as collector:
+            costs = evaluator.costs(copy)
+        assert collector.timers["evaluator.batch.content"]["count"] == 1
+        assert costs is not evaluator.costs(popular)
+        assert costs == evaluator.costs(popular)
 
 
 class TestTraceRoundtripFeedsPipeline:
