@@ -5,20 +5,22 @@ Two measurements:
 * **cold oracle build** — one frontier-batched sweep over every
   destination (``routes_to_many``), spot-checked against the dict-BFS
   reference in ``tests/reference``;
-* **shared-memory fan-out** — ``run_experiments`` with ``--jobs``-style
-  pooling, asserting through the metrics stream that workers attach
-  the parent's exported World (``shm.worker.attached`` up) and that
-  every segment is unlinked at shutdown.
+* **pooled fan-out** — ``run_experiments`` with ``--jobs``-style
+  pooling, asserting through the metrics stream that the workers
+  inherit the World the parent built before the pool started: no
+  record opens a topology, oracle or CSR build of its own.
 
 Times are recorded as ``bench.control_plane.*`` gauges.
 """
 
+import multiprocessing
 import time
 
+import pytest
 from conftest import run_once
 
 from repro import obs
-from repro.engine import run_experiments
+from repro.engine import run_experiments, runner
 from repro.routing import RoutingOracle
 
 from tests.reference.routing import assert_same_routes, compute_routes
@@ -62,22 +64,31 @@ def _pooled(scale, jobs):
     return records, metrics.snapshot(), time.perf_counter() - start
 
 
-def test_pooled_workers_attach_shared_world(benchmark, scale):
+def _span_names(spans):
+    for span in spans:
+        yield span["name"]
+        yield from _span_names(span["children"])
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers inherit the parent's World only when forked",
+)
+def test_pooled_workers_inherit_world(benchmark, scale, monkeypatch):
+    monkeypatch.setattr(runner, "_WORLDS", {})
     records, snap, pooled_s = run_once(benchmark, _pooled, scale, 2)
     assert all(record.ok for record in records), [
         (record.name, record.status) for record in records
     ]
-    counters = snap["counters"]
-    # Every worker-side experiment saw an attached segment...
-    assert counters.get("shm.worker.attached", 0) >= len(records)
-    # ...and the parent unlinked everything it created.
-    assert counters.get("shm.segments.created", 0) >= 1
-    assert counters.get("shm.leaked", 0) == 0
-    assert snap["gauges"].get("shm.segments.open", 0) == 0
+    for record in records:
+        opened = {
+            "world.topology", "world.oracle", "routing.batch.csr_build"
+        } & set(_span_names(record.metrics["spans"]))
+        assert not opened, (record.name, opened)
+    assert "runner.prebuild_failed" not in snap["counters"]
 
     obs.gauge("bench.control_plane.fanout.array_s", pooled_s)
     print(
         f"pooled fan-out [{scale.label}]: {len(records)} experiments, "
-        f"shared-world {pooled_s:.3f}s, "
-        f"{counters.get('shm.worker.attached', 0):.0f} worker attaches"
+        f"inherited World {pooled_s:.3f}s"
     )

@@ -395,10 +395,10 @@ def _profile_report(records, driver=None) -> str:
     parent is never blamed for work its children did.
 
     ``driver`` is the parent process's own metrics snapshot — the
-    shared-memory World export (``shm.export``), segment lifecycle
-    counters (``shm.segments.created``/``.unlinked``, ``shm.leaked``)
-    and the ``shm.segments.open`` gauge live there, not in any worker
-    record, so they get their own section.
+    World prebuilt before the pool starts (``runner.prebuild_world``
+    and the substrate spans inside it) and the cache traffic it caused
+    live there, not in any worker record, so they get their own
+    section.
     """
     lines = ["", "== profile: per-experiment phases =="]
     for record in records:
@@ -449,7 +449,7 @@ def _profile_report(records, driver=None) -> str:
         # (run_experiments merges them for run-wide totals), so report
         # only the driver-exclusive residue: counters beyond the
         # worker-merged totals, and timers/gauges whose names no
-        # worker record produced (shm.export, shm.segments.*, ...).
+        # worker record produced (runner.prebuild_world, ...).
         counters = {
             name: value - totals["counters"].get(name, 0)
             for name, value in driver.get("counters", {}).items()
@@ -466,7 +466,7 @@ def _profile_report(records, driver=None) -> str:
             if name not in totals["gauges"]
         }
         if counters or timers or gauges:
-            lines += ["", "== driver process (shm export, cache) =="]
+            lines += ["", "== driver process (World prebuild, cache) =="]
             for name, timer in sorted(
                 timers.items(), key=lambda item: -item[1]["total_s"]
             )[:8]:
@@ -715,13 +715,6 @@ def _run(
     driver_resources = _driver_resources(start_sample)
     elapsed = perf_counter() - started
     driver = obs.metrics().snapshot()
-    leaked = driver.get("counters", {}).get("shm.leaked", 0)
-    open_segments = driver.get("gauges", {}).get("shm.segments.open", 0)
-    if leaked or open_segments:
-        err.write(
-            f"repro run: WARNING: shared-memory leak detected at "
-            f"shutdown (leaked={leaked:g}, open={open_segments:g})\n"
-        )
     records = stitch_records(names, completed, records)
     failed = [record for record in records if not record.ok]
 

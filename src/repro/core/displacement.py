@@ -93,9 +93,7 @@ class InterdomainPortMap:
         """
         missing = [p for p in prefixes if p not in self._cache]
         if missing:
-            filled = self._shared_next_hops(missing)
-            if filled is None:
-                filled = self.vantage.next_hop_table(self._oracle, missing)
+            filled = self.vantage.next_hop_table(self._oracle, missing)
             for prefix, port in zip(missing, filled.tolist()):
                 self._cache[prefix] = None if port < 0 else port
         table = np.empty(len(prefixes), dtype=np.int64)
@@ -103,29 +101,6 @@ class InterdomainPortMap:
             port = self._cache[prefix]
             table[i] = -1 if port is None else port
         return table
-
-    def _shared_next_hops(self, prefixes):
-        """Next hops from the pool's shared-memory LUT, or None.
-
-        A worker attached to an exported World holds this vantage's
-        full FIB as a flat array keyed by packed prefix; resolving
-        missing prefixes is then a binary-search gather instead of a
-        route ranking. Bit-identical by construction: the parent built
-        the LUT with the very ranking this falls back to.
-        """
-        try:
-            from ..engine import shm as shm_world
-
-            filled = shm_world.attached_next_hops(
-                self.vantage.name, prefixes
-            )
-        except Exception:
-            return None
-        if filled is not None:
-            from .. import obs
-
-            obs.incr("displacement.shm_lut.prefixes", len(prefixes))
-        return filled
 
     def cache_size(self) -> int:
         """Number of prefixes resolved so far."""

@@ -8,8 +8,10 @@ experiment never aborts the rest — and recorded with a traceback.
 With ``jobs > 1`` experiments are distributed over a
 :class:`~concurrent.futures.ProcessPoolExecutor`. Each worker process
 keeps one lazily-built :class:`~repro.experiments.context.World` per
-scale, shared across the experiments it is handed, and (when a cache is
-configured) hydrates that world from the on-disk
+scale, shared across the experiments it is handed. A single-scale run
+builds that World in the parent before the pool starts, so forked
+workers inherit it; otherwise a worker (when a cache is configured)
+hydrates its world from the on-disk
 :class:`~repro.engine.cache.ArtifactCache` instead of regenerating the
 substrate. Every experiment is a deterministic pure function of
 ``(scale, seed)``, so records come back identical regardless of job
@@ -55,7 +57,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..faults.retry import RetryPolicy
-from . import shm as shm_world
 from .cache import ArtifactCache
 from .chaos import ChaosConfig
 from .registry import get_spec
@@ -199,6 +200,7 @@ def _world_class():
 #: Per-process world pool: (scale, cache root) -> World. Worker
 #: processes handle several experiments each; sharing the lazily-built
 #: world across them mirrors what the serial path does in one process.
+#: Forked workers start with the entry :func:`_prebuild_world` made.
 _WORLDS: Dict[Tuple[Any, Optional[str]], Any] = {}
 
 
@@ -209,14 +211,48 @@ def _world_for(scale, cache: Optional[ArtifactCache]):
     return _WORLDS[key]
 
 
-def _init_worker(manifest: Optional[shm_world.WorldManifest]) -> None:
-    """Pool initializer: shm attach + mem profile.
+def _prebuild_world(scale, cache_root: Optional[str]):
+    """Build ``scale``'s World here, before the pool forks.
 
-    Like :func:`repro.engine.shm.attach_shared_world` itself, this must
-    never raise — an initializer exception poisons the whole pool, and
-    telemetry is never worth that.
+    Fork-started workers inherit it in :data:`_WORLDS` copy-on-write,
+    so none of them rebuilds the topology, the workload, or the routes
+    to every AS. The World gets the cache a worker would build, so
+    chaos cache strikes still reach its writes in workers. Returns the
+    ``_WORLDS`` key when this call added the World (the caller drops it
+    after the run), else None.
+
+    Never raises: on any failure a World this call added is dropped
+    and workers build their own, so a broken substrate fails only the
+    experiments that need it.
     """
-    shm_world.attach_shared_world(manifest)
+    cache = (
+        ArtifactCache(cache_root, chaos=ChaosConfig.from_env())
+        if cache_root else None
+    )
+    key = (scale, cache_root)
+    added = key not in _WORLDS
+    try:
+        with obs.span("runner.prebuild_world"):
+            world = _world_for(scale, cache)
+            # Reading a lazy property builds it.
+            world.workload, world.device_event_columns
+            world.routeviews, world.ripe
+            world.oracle.routes_to_many(sorted(world.topology.ases))
+            world.save_warm_artifacts()
+    except Exception:
+        obs.incr("runner.prebuild_failed")
+        if added:
+            _WORLDS.pop(key, None)
+        return None
+    return key if added else None
+
+
+def _init_worker() -> None:
+    """Pool initializer: turn on ``--profile-mem`` in the worker.
+
+    Must never raise — an initializer exception poisons the whole
+    pool, and telemetry is never worth that.
+    """
     try:
         obs.maybe_enable_mem_profile_from_env()
     except Exception:
@@ -238,11 +274,6 @@ def _execute(name: str, scale, cache: Optional[ArtifactCache]) -> RunRecord:
     collector = obs.Metrics()
     try:
         with obs.using(collector), obs.annotate(collector):
-            if shm_world.attached() is not None:
-                # Recorded per experiment (pool-initializer time has no
-                # collector to ship back): this execution ran against
-                # the parent's shared-memory World, not a private copy.
-                obs.incr("shm.worker.attached")
             spec = get_spec(name)
             world = _world_for(scale, cache) if spec.needs_world else None
             with collector.span(f"experiment.{name}"):
@@ -385,7 +416,6 @@ def _run_pooled(
     deadlines: Sequence[Optional[float]],
     policy: RetryPolicy,
     on_record: Optional[Callable[[RunTask, RunRecord], None]],
-    manifest: Optional[shm_world.WorldManifest] = None,
     seed_token: Any = None,
     on_start: Optional[Callable[[RunTask], None]] = None,
 ) -> List[RunRecord]:
@@ -421,14 +451,8 @@ def _run_pooled(
     shared_pool: Optional[ProcessPoolExecutor] = None
 
     def make_pool(max_workers: int) -> ProcessPoolExecutor:
-        # Every pool — shared and quarantine alike — attaches its
-        # workers to the exported World segment; the initializer
-        # swallows every failure, so a missing/stale segment degrades
-        # to the cache path instead of breaking the pool.
         return ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=_init_worker,
-            initargs=(manifest,),
+            max_workers=max_workers, initializer=_init_worker
         )
 
     def finalize(index: int, record: RunRecord) -> None:
@@ -631,11 +655,11 @@ def run_tasks(
     when it is first dispatched (the live progress line hooks in here);
     both callbacks run in the parent and must not raise.
 
-    When every world-needing task shares one scale, the World is
-    exported once into shared memory and workers attach to it; a
-    multi-scale task set skips the export and workers hydrate each
-    cell's world from the artifact cache instead (shared memory is an
-    accelerator, never a correctness dependency).
+    When every world-needing task shares one scale, the World is built
+    once in this process before the pool starts, and fork-started
+    workers inherit it. A multi-scale task set skips that prebuild, as
+    does a failed one; workers then hydrate each cell's World from the
+    artifact cache instead.
 
     Each returned record carries the :mod:`repro.obs` snapshot of its
     own run; the snapshots are also merged into this process's current
@@ -653,18 +677,15 @@ def run_tasks(
     any_deadline = any(limit is not None for limit in deadlines)
     if tasks and ((jobs > 1 and len(tasks) > 1) or any_deadline):
         cache_root = cache.root if cache is not None else None
-        # Export the World once, parent-side, so workers attach to one
-        # shared-memory substrate instead of each unpickling their own
-        # (no-op when nothing needs a world, or when a sweep mixes
-        # scales — then the cache serves per-cell worlds).
-        # The finally guarantees the segment is unlinked on every exit
-        # path — clean completion, ^C, watchdog kills, chaos kills.
+        # A single-scale run builds its World once, here; a sweep that
+        # mixes scales lets workers hydrate each cell's World from the
+        # artifact cache instead.
         world_scales = {
             task.scale for task in tasks
             if get_spec(task.name).needs_world
         }
-        manifest = (
-            shm_world.export_world(next(iter(world_scales)), cache)
+        prebuilt = (
+            _prebuild_world(next(iter(world_scales)), cache_root)
             if len(world_scales) == 1
             else None
         )
@@ -675,11 +696,11 @@ def run_tasks(
         try:
             records: List[RunRecord] = _run_pooled(
                 tasks, cache_root, max(1, jobs), deadlines, policy,
-                on_record, manifest, seed_token=seed_token,
-                on_start=on_start,
+                on_record, seed_token=seed_token, on_start=on_start,
             )
         finally:
-            shm_world.cleanup(manifest)
+            if prebuilt is not None:
+                _WORLDS.pop(prebuilt, None)
     else:
         records = []
         for task in tasks:
@@ -709,7 +730,7 @@ def run_experiments(
     """Run ``names`` at one ``scale``; one :class:`RunRecord` each, in order.
 
     The single-scale front door over :func:`run_tasks` — semantics
-    (isolation, deadlines, retries, shared-memory fan-out, metrics
+    (isolation, deadlines, retries, the inherited World, metrics
     merge) are identical; ``on_record`` here receives just the record
     and ``on_start`` just the experiment name.
     """

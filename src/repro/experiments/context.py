@@ -217,8 +217,6 @@ class World:
         """Policy routing over the topology."""
         if self._oracle is None:
             with obs.span("world.oracle"):
-                if self._adopt_shared_oracle():
-                    return self._oracle
                 warm = (
                     self.cache.load(
                         self.cache.key("oracle-warm",
@@ -232,33 +230,6 @@ class World:
                 self._oracle = warm or RoutingOracle(self.topology)
                 self._adopt_table_artifact()
         return self._oracle
-
-    def _adopt_shared_oracle(self) -> bool:
-        """Build the oracle over the parent's shared route tables.
-
-        In a pool worker attached to an exported World segment, the
-        oracle needs no warm pickle and no route computation: the CSR
-        topology and every destination's table are zero-copy views —
-        ``routes_to`` just materializes path tuples on demand.
-        """
-        try:
-            from ..engine import shm as shm_world
-            from ..routing.frontier import CSRTopology
-
-            tables = shm_world.attached_route_tables(self.scale)
-            if tables is None:
-                return False
-            csr_buffers = shm_world.attached_csr_buffers(self.scale)
-            oracle = RoutingOracle(self.topology)
-            oracle.import_route_tables(
-                tables,
-                csr=(CSRTopology(csr_buffers) if csr_buffers else None),
-            )
-        except Exception:
-            return False
-        obs.incr("oracle.shm_tables")
-        self._oracle = oracle
-        return True
 
     def _adopt_table_artifact(self) -> None:
         """Memory-map previously persisted array route tables, if any."""
@@ -339,13 +310,6 @@ class World:
         if self._event_columns is None:
             from ..workload import DeviceEventColumns
 
-            from ..engine import shm as shm_world
-
-            shared = shm_world.attached_event_columns(self.scale)
-            if shared is not None:
-                obs.incr("world.event_columns.shared")
-                self._event_columns = shared
-                return self._event_columns
             params = dict(
                 num_users=self.scale.num_users,
                 num_days=self.scale.device_days,

@@ -84,7 +84,7 @@ class RoutingOracle:
         #: does not yet hold.
         self._dirty = 0
         #: Lazily built array control plane (never pickled: its tables
-        #: may be memory-mapped artifacts or shared-memory views).
+        #: may be memory-mapped artifacts).
         self._frontier = None
 
     @property
@@ -110,9 +110,9 @@ class RoutingOracle:
         # A pickled oracle *is* the snapshot, so it carries no dirt —
         # rehydrated copies must not re-persist routes they were loaded
         # with. The array control plane is dropped for the same reason
-        # (and because its tables may be mmap/shared-memory views that
-        # must not be serialized): a rehydrated oracle rebuilds or
-        # re-imports its tables, starting clean.
+        # (and because its tables may be mmap views that must not be
+        # serialized): a rehydrated oracle rebuilds or re-imports its
+        # tables, starting clean.
         state = dict(self.__dict__)
         state["_dirty"] = 0
         state["_frontier"] = None
@@ -140,14 +140,6 @@ class RoutingOracle:
         engine = self._frontier
         return 0 if engine is None else engine.dirty
 
-    def adopt_csr(self, csr) -> None:
-        """Seed the array control plane with a pre-built CSR topology
-        (e.g. a shared-memory view), skipping the encode pass."""
-        if self._frontier is None:
-            from .frontier import FrontierEngine
-
-            self._frontier = FrontierEngine(self._topo, csr=csr)
-
     def export_route_tables(self):
         """Cached array tables as flat buffers (None when empty).
 
@@ -161,13 +153,9 @@ class RoutingOracle:
             engine.dirty = 0
         return buffers
 
-    def import_route_tables(self, buffers, csr=None) -> None:
-        """Adopt previously exported array tables (warm artifact / shm)."""
-        if self._frontier is None:
-            from .frontier import FrontierEngine
-
-            self._frontier = FrontierEngine(self._topo, csr=csr)
-        self._frontier.import_tables(buffers)
+    def import_route_tables(self, buffers) -> None:
+        """Adopt previously exported array tables (a warm artifact)."""
+        self.frontier_engine().import_tables(buffers)
 
     def routes_to(self, dest_asn: int) -> Dict[int, BestPath]:
         """Best path from every AS to ``dest_asn`` (absent = unreachable)."""

@@ -104,14 +104,6 @@ class CSRTopology:
     sweep.
     """
 
-    #: Buffer names in the flat export (shared memory / array artifacts).
-    BUFFER_NAMES = (
-        "asns",
-        "prov_indptr", "prov_indices",
-        "cust_indptr", "cust_indices",
-        "peer_indptr", "peer_indices",
-    )
-
     def __init__(self, buffers: Dict[str, "np.ndarray"]):
         self.asns = buffers["asns"]
         self.prov_indptr = buffers["prov_indptr"]
@@ -151,10 +143,6 @@ class CSRTopology:
             "cust_indptr": cust_indptr, "cust_indices": cust_indices,
             "peer_indptr": peer_indptr, "peer_indices": peer_indices,
         })
-
-    def to_buffers(self) -> Dict[str, "np.ndarray"]:
-        """The flat numpy buffers this CSR round-trips through."""
-        return {name: getattr(self, name) for name in self.BUFFER_NAMES}
 
     def index_of(self, asn: int) -> int:
         """The node index of ``asn`` (raises KeyError if unknown)."""
@@ -349,17 +337,14 @@ class FrontierEngine:
 
     One engine hangs off each :class:`~repro.routing.bgp.RoutingOracle`
     (outside its pickled state — tables are cheap to recompute and may
-    be memory-mapped or shared-memory views). ``dirty`` counts tables
+    be memory-mapped views). ``dirty`` counts tables
     computed since the last :meth:`export_tables`/:meth:`import_tables`,
     mirroring the oracle's dict-cache dirtiness.
     """
 
-    def __init__(self, topology: ASTopology,
-                 csr: Optional[CSRTopology] = None):
+    def __init__(self, topology: ASTopology):
         with obs.span("routing.batch.csr_build"):
-            self.csr = csr if csr is not None else CSRTopology.from_topology(
-                topology
-            )
+            self.csr = CSRTopology.from_topology(topology)
         self._tables: Dict[int, Tuple] = {}
         self.dirty = 0
 
@@ -400,7 +385,7 @@ class FrontierEngine:
                 (0, self.csr.n), dtype=np.int32),
         )
 
-    # -- flat-buffer round trip (warm artifacts, shared memory) --------
+    # -- flat-buffer round trip (warm artifacts) ------------------------
 
     def export_tables(self) -> Optional[Dict[str, "np.ndarray"]]:
         """Every cached table as flat stacked buffers (None if empty)."""
@@ -486,7 +471,7 @@ def rank_vectors(vantage) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
 
     ``(nbr_asns, rel_ranks, is_provider)`` in ascending-ASN order —
     ascending index order therefore encodes the lowest-next-hop
-    tiebreak. Cached on the vantage (and seedable from shared memory).
+    tiebreak. Cached on the vantage.
     """
     cached = getattr(vantage, "_rank_vectors", None)
     if cached is not None:

@@ -7,7 +7,8 @@ interleaves cells freely across workers while deadlines, retries, and
 chaos strikes stay per task. Cells whose world parameters coincide
 share artifact-cache entries (keys are content-addressed by explicit
 parameters, never labels), and when the whole grid needs exactly one
-world the runner exports it to shared memory as usual.
+world the runner builds it before the pool starts, as usual, and the
+forked workers inherit it.
 
 Crash safety reuses the run-journal machinery wholesale: a sweep
 journals under ``journal-sweep-<id>.jsonl`` with task keys as names

@@ -13,7 +13,7 @@ Three parity obligations pinned here:
   and ``expected_outage_under_faults``) must be bit-identical to BFS
   hop distances and to per-source, per-probe delivery walks.
 
-Plus the serialization contracts the shared-memory fan-out leans on:
+Plus the serialization contracts the warm artifacts lean on:
 a pickled oracle drops its frontier engine and dirty count, and an
 array artifact written by a different GENERATOR_VERSION is a counted
 cache miss, never a crash.

@@ -21,6 +21,7 @@ from repro.engine import (
     load_registry,
     register,
     run_experiments,
+    runner,
     unregister,
 )
 from repro.experiments import SMALL_SCALE, World
@@ -53,6 +54,17 @@ fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
     reason="worker processes must inherit test-registered experiments",
 )
+
+
+#: Spans a worker opens only when it builds its own substrate.
+SUBSTRATE_SPANS = {"world.topology", "world.oracle", "routing.batch.csr_build"}
+
+
+def _span_names(spans):
+    """Every span name in a metrics snapshot's span tree."""
+    for span in spans:
+        yield span["name"]
+        yield from _span_names(span["children"])
 
 
 def _register_synthetic(monkeypatch, name, run):
@@ -500,6 +512,68 @@ class TestRunnerMetrics:
                         + [serial[names[0]]["metrics"]]):
             assert not [key for key in metrics["counters"]
                         if key.startswith("test.thread.")]
+
+
+class TestInheritedWorld:
+    @fork_only
+    def test_pooled_workers_inherit_the_device_substrate(self, monkeypatch):
+        # The parent builds the World before the pool forks, so no
+        # worker builds a topology, an oracle or a CSR of its own.
+        monkeypatch.setattr(runner, "_WORLDS", {})
+        names = ["fig8", "fig10", "ablation-outage"]
+        pooled = run_experiments(names, SMALL_SCALE, jobs=2)
+        serial = run_experiments(names, SMALL_SCALE, jobs=1)
+        for record in pooled:
+            assert record.ok, record.error
+            opened = SUBSTRATE_SPANS & set(
+                _span_names(record.metrics["spans"])
+            )
+            assert not opened, (record.name, opened)
+        assert ([record.series_digests for record in pooled]
+                == [record.series_digests for record in serial])
+
+    def test_pooled_run_stores_the_route_tables(self, tmp_path):
+        # The prebuilt World persists the routes it computed, once, so
+        # the next run memory-maps them instead of recomputing every
+        # destination. The run then lets go of that World.
+        driver = obs.Metrics()
+        with obs.using(driver):
+            records = run_experiments(
+                ["fig8", "fig10"], SMALL_SCALE, jobs=2,
+                cache=ArtifactCache(str(tmp_path)),
+            )
+        assert all(record.ok for record in records)
+        assert driver.counters["oracle.tables_stored"] == 1
+        assert (SMALL_SCALE, str(tmp_path)) not in runner._WORLDS
+        assert len(list(tmp_path.glob("oracle-tables-*"))) == 1
+        collector = obs.Metrics()
+        with obs.using(collector):
+            World(SMALL_SCALE, cache=ArtifactCache(str(tmp_path))).oracle
+        assert collector.counters.get("oracle.tables_mmap") == 1
+
+    @fork_only
+    def test_failed_prebuild_keeps_isolation(self, monkeypatch):
+        # A substrate that cannot be built fails the experiments that
+        # need it, in their workers, and nothing else.
+        def boom(self):
+            raise RuntimeError("topology boom")
+
+        monkeypatch.setattr(runner, "_WORLDS", {})
+        monkeypatch.setattr(World, "topology", property(boom))
+        driver = obs.Metrics()
+        with obs.using(driver):
+            records = run_experiments(
+                ["fig8", "envelope", "fig10"], SMALL_SCALE, jobs=2
+            )
+        assert {record.name: record.status for record in records} == {
+            "fig8": "error", "envelope": "ok", "fig10": "error",
+        }
+        for record in records:
+            if not record.ok:
+                assert record.error.rstrip().endswith(
+                    "RuntimeError: topology boom"
+                ), record.error
+        assert driver.counters["runner.prebuild_failed"] == 1
 
 
 class TestLedgerParity:

@@ -3,8 +3,8 @@
 ``tests/golden/digests-small.json`` holds the ledger series digests
 (:attr:`repro.engine.RunRecord.series_digests`) of every registered
 experiment at ``--scale small``, seed 2014. The run here is pooled, so
-the shared-memory World fan-out is held to the same digests as an
-in-process run. The digests are the same on every supported Python:
+the World the workers inherit from the parent is held to the same
+digests as an in-process run. The digests are the same on every supported Python:
 float reductions add through :func:`repro.stats.sequential_sum`, not
 builtin ``sum()``, whose float rounding changed in 3.12.
 
