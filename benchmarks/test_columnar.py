@@ -5,12 +5,16 @@ evaluations under the benchmark timer, then recomputes the identical
 workload with the per-event loops in ``tests/reference`` and asserts
 identical reports — the parity contract. Route caches are warmed before
 the measurement so it times the evaluation itself, not BGP route
-computation. Times are recorded through the existing obs metrics
-plumbing (``bench.columnar.*``).
+computation. The device experiments built on the batch displacement
+test (policy-sensitivity, fib-size, ablation-multihoming) are timed
+whole and held to their per-event loops the same way. Times are
+recorded through the existing obs metrics plumbing
+(``bench.columnar.*``).
 """
 
 import time
 
+import pytest
 from conftest import run_once
 
 from repro import obs
@@ -20,7 +24,13 @@ from repro.core import (
     ForwardingStrategy,
     per_day_update_rates,
 )
+from repro.experiments import (
+    exp_ablation_multihoming,
+    exp_fib_size,
+    exp_policy_sensitivity,
+)
 
+from tests.reference import experiments as reference_experiments
 from tests.reference.evaluators import (
     content_report,
     device_report,
@@ -85,4 +95,39 @@ def test_content_columnar(benchmark, world, scale):
     print(
         f"content update rates [{scale.label}]: "
         f"{vector.num_events} events, vector {vector_s:.3f}s, parity ok"
+    )
+
+
+#: The device experiments built on the batch displacement test, each
+#: with the per-event loop it replaced.
+DEVICE_EXPERIMENTS = {
+    "policy-sensitivity": (
+        exp_policy_sensitivity, reference_experiments.policy_sensitivity
+    ),
+    "fib-size": (exp_fib_size, reference_experiments.fib_size),
+    "ablation-multihoming": (
+        exp_ablation_multihoming, reference_experiments.ablation_multihoming
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DEVICE_EXPERIMENTS))
+def test_device_experiment_columnar(benchmark, world, scale, name):
+    module, reference = DEVICE_EXPERIMENTS[name]
+    start = time.perf_counter()
+    vector = run_once(benchmark, module.run, world)
+    vector_s = time.perf_counter() - start
+    start = time.perf_counter()
+    expected = reference(world)
+    reference_s = time.perf_counter() - start
+
+    assert vector == expected
+    for series, expected_series in zip(module.series(vector),
+                                       module.series(expected)):
+        assert series.rows == expected_series.rows  # dict order too
+
+    obs.gauge(f"bench.columnar.{name}.vector_s", vector_s)
+    print(
+        f"{name} [{scale.label}]: vector {vector_s:.3f}s, per-event "
+        f"reference {reference_s:.3f}s, parity ok"
     )

@@ -46,6 +46,7 @@ from .evaluator import (
     FaultToleranceEvaluator,
     MobilityTimeline,
     UpdateRateReport,
+    address_set_updates,
     pearson_correlation,
     per_day_update_rates,
 )
@@ -74,6 +75,7 @@ __all__ = [
     "DeviceUpdateCostEvaluator",
     "ContentCosts",
     "ContentUpdateCostEvaluator",
+    "address_set_updates",
     "FaultToleranceEvaluator",
     "MobilityTimeline",
     "per_day_update_rates",

@@ -12,6 +12,11 @@ Two variants:
   :class:`~repro.topology.intradomain.IntradomainNetwork`;
 * **interdomain** (§3.2): ports are BGP next hops at a vantage router,
   derived from its RIB (``next_hop`` as output-port proxy, §6.2.2).
+
+The interdomain test runs in batch form too: :func:`prefix_ids` interns
+the covering prefixes of many addresses, and :func:`displaced` compares
+ports gathered through a per-prefix lookup table. Every experiment that
+asks the §3.2 question of a whole workload goes through these two.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from ..net import IPv4Address, IPv4Prefix
 from ..routing import RoutingOracle, VantagePoint
 from ..topology import IntradomainNetwork
 from ..workload import require_numpy
+from ..workload.columns import unique_with_inverse
 
 np = require_numpy()
 
@@ -30,6 +36,9 @@ __all__ = [
     "intradomain_displaced",
     "InterdomainPortMap",
     "interdomain_displaced",
+    "prefix_ids",
+    "event_prefix_ids",
+    "displaced",
 ]
 
 
@@ -122,3 +131,54 @@ def interdomain_displaced(
     if old_port is None or new_port is None:
         return False
     return old_port != new_port
+
+
+def prefix_ids(topology, addresses):
+    """Intern the covering prefixes of 32-bit address values.
+
+    Returns ``(prefixes, ids)``: the distinct announced prefixes that
+    cover ``addresses``, and each address's index into them (-1 when no
+    prefix covers it). Each unique address is resolved once, however
+    often it repeats.
+    """
+    unique, inverse = unique_with_inverse(
+        np.asarray(addresses, dtype=np.int64)
+    )
+    index: Dict[IPv4Prefix, int] = {}
+    ids = np.empty(len(unique), dtype=np.int64)
+    for i, value in enumerate(unique.tolist()):
+        prefix = topology.covering_prefix(IPv4Address(value))
+        ids[i] = (
+            -1 if prefix is None else index.setdefault(prefix, len(index))
+        )
+    return list(index), ids[inverse]
+
+
+def event_prefix_ids(topology, columns):
+    """``(prefixes, old_ids, new_ids)`` of a device event table.
+
+    :func:`prefix_ids` over every event's old and new address at once,
+    split back into one id column per side.
+    """
+    cols = columns.as_columns()
+    prefixes, ids = prefix_ids(
+        topology, np.concatenate([cols.from_ip, cols.to_ip])
+    )
+    count = len(columns)
+    return prefixes, ids[:count], ids[count:]
+
+
+def displaced(ports, old, new):
+    """The §3.2 test over a batch of moves, as a boolean array.
+
+    ``ports[i]`` is the router's output port for prefix id ``i`` (-1
+    when it holds no route); ``old`` and ``new`` are the prefix ids a
+    move leaves and reaches (-1 when no prefix covers the address).
+    Move ``k`` displaces the endpoint when both ports exist and differ,
+    as :func:`interdomain_displaced` decides one event at a time.
+    """
+    # The appended -1 makes prefix id -1 gather port -1 (no route).
+    lut = np.append(np.asarray(ports, dtype=np.int64), -1)
+    old_port = lut[old]
+    new_port = lut[new]
+    return (old_port >= 0) & (new_port >= 0) & (old_port != new_port)

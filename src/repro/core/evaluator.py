@@ -41,7 +41,12 @@ from ..topology import Graph
 from ..workload import DeviceEventColumns, require_numpy
 from ..workload.columns import unique_with_inverse
 from .architectures import IndirectionRouting
-from .displacement import InterdomainPortMap
+from .displacement import (
+    InterdomainPortMap,
+    displaced,
+    event_prefix_ids,
+    prefix_ids,
+)
 from .strategies import ContentPortMapper, ForwardingStrategy
 
 np = require_numpy()
@@ -51,6 +56,7 @@ __all__ = [
     "DeviceUpdateCostEvaluator",
     "ContentCosts",
     "ContentUpdateCostEvaluator",
+    "address_set_updates",
     "pearson_correlation",
     "per_day_update_rates",
     "MobilityTimeline",
@@ -135,58 +141,18 @@ class DeviceUpdateCostEvaluator:
             return events
         return DeviceEventColumns.from_events(events)
 
-    def _prefix_ids(self, columns: DeviceEventColumns):
-        """Intern covering prefixes over the batch's unique addresses.
-
-        Returns ``(prefixes, old_pid, new_pid)``: the distinct covering
-        prefixes touched by the batch, and per-event prefix ids for the
-        old/new address (-1 when no announced prefix covers it). Each
-        unique address resolves its prefix exactly once, however many
-        events revisit it.
-        """
-        from ..net import IPv4Address
-
-        cols = columns.as_columns()
-        all_ips = np.concatenate([cols.from_ip, cols.to_ip])
-        uniq_ips, inverse = unique_with_inverse(all_ips)
-        topology = self._oracle.topology
-        prefixes: List = []
-        prefix_index: Dict = {}
-        ip_pid = np.empty(len(uniq_ips), dtype=np.int64)
-        for i, value in enumerate(uniq_ips.tolist()):
-            prefix = topology.covering_prefix(IPv4Address(int(value)))
-            if prefix is None:
-                ip_pid[i] = -1
-                continue
-            pid = prefix_index.get(prefix)
-            if pid is None:
-                pid = prefix_index[prefix] = len(prefixes)
-                prefixes.append(prefix)
-            ip_pid[i] = pid
-        n = len(columns)
-        return prefixes, ip_pid[inverse[:n]], ip_pid[inverse[n:]]
-
     def _update_flags(self, columns: DeviceEventColumns) -> List:
         """Per-router boolean arrays: does event ``i`` update router ``r``?
 
-        The vectorized §3.2 displacement test: gather old/new output
-        ports through the router's prefix->port LUT and flag events
-        where both ports exist and differ.
+        The batch §3.2 displacement test over the event table's interned
+        covering prefixes, one port LUT per router.
         """
-        prefixes, old_pid, new_pid = self._prefix_ids(columns)
+        prefixes, old, new = event_prefix_ids(self._oracle.topology, columns)
         obs.incr("evaluator.batch.device.prefixes", len(prefixes))
-        flags = []
-        for pm in self._port_maps:
-            # Sentinel -1 appended so pid -1 gathers port -1 (no route).
-            lut = np.concatenate(
-                [pm.port_table(prefixes), np.array([-1], dtype=np.int64)]
-            )
-            old_port = lut[old_pid]
-            new_port = lut[new_pid]
-            flags.append(
-                (old_port >= 0) & (new_port >= 0) & (old_port != new_port)
-            )
-        return flags
+        return [
+            displaced(pm.port_table(prefixes), old, new)
+            for pm in self._port_maps
+        ]
 
 
 @dataclass(frozen=True)
@@ -242,29 +208,19 @@ class ContentCosts:
 
 
 class _Rows:
-    """Every name's change points, stacked in name order.
+    """Address-set timelines' change points, stacked in order.
 
-    Row ``first[n]`` holds name ``n``'s initial address set and each
-    following row up to ``last[n]`` one of its mobility events.
+    Row ``first[n]`` holds timeline ``n``'s initial address set and
+    each following row up to ``last[n]`` one of its mobility events.
     """
 
-    def __init__(self, matrices: Sequence, total_hours: Sequence[int]):
+    def __init__(self, matrices: Sequence):
         counts = np.array([len(m.hours) for m in matrices], dtype=np.int64)
         self.count = int(counts.sum())
         self.first = np.cumsum(counts) - counts
         self.last = self.first + counts - 1
-        #: Each row's name index.
+        #: Each row's timeline index.
         self.name = np.repeat(np.arange(len(matrices), dtype=np.int32), counts)
-        hours = np.concatenate(
-            [np.zeros(0, dtype=np.int64)] + [m.hours for m in matrices]
-        )
-        #: Hours each row's set stands: up to the name's next change
-        #: point, or to the end of its period on its last row.
-        self.stay = np.empty(self.count, dtype=np.int64)
-        self.stay[:-1] = hours[1:] - hours[:-1]
-        self.stay[self.last] = (
-            np.asarray(total_hours, dtype=np.int64) - hours[self.last]
-        )
         self._event = np.ones(self.count, dtype=bool)
         self._event[self.first] = False
 
@@ -272,17 +228,9 @@ class _Rows:
         """Events whose row differs from the row before it.
 
         ``changed[i]`` compares row ``i + 1`` with row ``i``; the pair
-        across two names is no event and is skipped.
+        across two timelines is no event and is skipped.
         """
         return int(np.count_nonzero(changed & self._event[1:]))
-
-    def flooding(self, sizes, changed) -> Tuple[int, int, int]:
-        """``(updates, port-hours, entries)`` of one port-set series."""
-        return (
-            self.updates(changed),
-            int(self.stay @ sizes),
-            int(sizes[self.last].sum()),
-        )
 
 
 class ContentUpdateCostEvaluator:
@@ -338,21 +286,28 @@ class ContentUpdateCostEvaluator:
 
     def _reduce(self, measurement: ContentMeasurement) -> ContentCosts:
         names = measurement.names()
-        prefix_ids = _PrefixIds(self._oracle.topology)
         # [router, strategy in _router_costs' order, (updates,
         # port-hours, entries)]
         sums = np.zeros((len(self._mappers), 3, 3), dtype=np.int64)
         num_events = total_hours = 0
         for batch in _batches([measurement.timeline(n) for n in names]):
             matrices = [timeline.as_matrix() for timeline in batch]
-            rows = _Rows(matrices, [t.total_hours for t in batch])
-            pairs = prefix_ids.pairs(matrices, rows)
-            prefixes = prefix_ids.prefixes
+            rows = _Rows(matrices)
+            hours = np.concatenate([m.hours for m in matrices])
+            # Hours each row's set stands: up to the name's next change
+            # point, or to the end of its period on its last row.
+            stay = np.diff(hours, append=0)
+            stay[rows.last] = (
+                np.array([t.total_hours for t in batch]) - hours[rows.last]
+            )
+            prefixes, pairs = _prefix_pairs(
+                self._oracle.topology, matrices, rows
+            )
             for costs, mapper in zip(sums, self._mappers):
                 routes = [mapper.route_for_prefix(p) for p in prefixes]
-                costs += _router_costs(routes, pairs, rows)
+                costs += _router_costs(routes, pairs, rows, stay)
             num_events += rows.count - len(batch)
-            total_hours += int(rows.stay.sum())
+            total_hours += int(stay.sum())
         routers = tuple(m.vantage.name for m in self._mappers)
         order = (ForwardingStrategy.BEST_PORT,) + _FLOODING
 
@@ -384,71 +339,49 @@ def _batches(timelines: Sequence) -> Iterable[List]:
         yield batch
 
 
-class _PrefixIds:
-    """Covering-prefix ids; each unique address is resolved once."""
+def _prefix_pairs(topology, matrices: Sequence, rows: _Rows):
+    """Covering prefixes of stacked address-set rows, as pairs.
 
-    def __init__(self, topology):
-        self._covering = topology.covering_prefix
-        self._prefix_ids: Dict = {}
-        self._address_ids: Dict = {}
-
-    @property
-    def prefixes(self) -> List:
-        """Every prefix seen so far, in id order."""
-        return list(self._prefix_ids)
-
-    def of(self, addresses) -> "np.ndarray":
-        """Each address's prefix id (-1 when no prefix covers it)."""
-        ids = []
-        for address in addresses:
-            pid = self._address_ids.get(address)
-            if pid is None:
-                prefix = self._covering(address)
-                pid = self._address_ids[address] = (
-                    -1 if prefix is None
-                    else self._prefix_ids.setdefault(
-                        prefix, len(self._prefix_ids)
-                    )
-                )
-            ids.append(pid)
-        return np.array(ids, dtype=np.int64)
-
-    def pairs(self, matrices: Sequence, rows: _Rows):
-        """Distinct ``(row, prefix id)`` pairs as int32 columns.
-
-        Addresses no prefix covers drop out, and addresses one prefix
-        covers collapse into one pair per row.
-        """
-        pair_rows = [np.zeros(0, dtype=np.int32)]
-        pair_pids = [np.zeros(0, dtype=np.int32)]
-        for first, matrix in zip(rows.first.tolist(), matrices):
-            ids = self.of(matrix.addrs)
-            row, column = np.nonzero(matrix.membership)
-            pid = ids[column]
-            covered = pid >= 0
-            width = max(len(self._prefix_ids), 1)
-            row, pid = np.divmod(
-                np.unique(row[covered] * width + pid[covered]), width
-            )
-            pair_rows.append((row + first).astype(np.int32))
-            pair_pids.append(pid.astype(np.int32))
-        return np.concatenate(pair_rows), np.concatenate(pair_pids)
+    Returns ``(prefixes, (row, pid))``: the :func:`prefix_ids` interning
+    of every address in ``matrices``, and the distinct ``(row, prefix
+    id)`` pairs as int32 columns. Addresses no prefix covers drop out,
+    and addresses one prefix covers collapse into one pair per row.
+    """
+    prefixes, ids = prefix_ids(
+        topology, [a.value for m in matrices for a in m.addrs]
+    )
+    width = max(len(prefixes), 1)
+    pair_rows = [np.zeros(0, dtype=np.int32)]
+    pair_pids = [np.zeros(0, dtype=np.int32)]
+    offset = 0
+    for first, matrix in zip(rows.first.tolist(), matrices):
+        row, column = np.nonzero(matrix.membership)
+        pid = ids[offset + column]
+        offset += matrix.num_addrs
+        covered = pid >= 0
+        row, pid = np.divmod(
+            np.unique(row[covered] * width + pid[covered]), width
+        )
+        pair_rows.append((row + first).astype(np.int32))
+        pair_pids.append(pid.astype(np.int32))
+    return prefixes, (np.concatenate(pair_rows), np.concatenate(pair_pids))
 
 
-def _router_costs(routes: Sequence, pairs, rows: _Rows):
-    """One router's ``(updates, port-hours, entries)`` per strategy.
-
-    Returns best-port's, controlled flooding's and union flooding's, in
-    that order; best-port holds no port set, so its port-hours and
-    entries are 0.
+def _row_ports(routes: Sequence, pairs, rows: _Rows):
+    """Each row's best port and eligible-port grid at one router.
 
     ``routes[i]`` is the router's route to prefix ``i`` (None when it
-    has none). Parity with the per-event definitions rests on two
-    facts: equal :func:`~repro.routing.rank_key` implies equal next hop
-    (the next hop is the key's final tiebreak), so the row-minimum rank
-    names the best port exactly as :meth:`ContentPortMapper.best_port`
-    does; and a flooding port set is a pure function of the prefixes
-    present in a row (or ever seen, for union).
+    has none). Returns ``(best, grid)``: ``best[r]`` is the port of row
+    ``r``'s best route (-1 when no address in it is routed), and
+    ``grid[r, j]`` says whether the ``j``-th smallest port the routes
+    use is eligible at row ``r``.
+
+    Parity with the per-event definitions rests on two facts: equal
+    :func:`~repro.routing.rank_key` implies equal next hop (the next
+    hop is the key's final tiebreak), so the row-minimum rank names the
+    best port exactly as :meth:`ContentPortMapper.best_port` does; and
+    a flooding port set is a pure function of the prefixes present in a
+    row.
     """
     row, pid = pairs
     keys = [None if r is None else rank_key(r) for r in routes]
@@ -467,29 +400,75 @@ def _router_costs(routes: Sequence, pairs, rows: _Rows):
 
     best = np.full(rows.count, len(ranked), dtype=np.int32)
     np.minimum.at(best, row, rank[pid])
-    best_port = port_of_rank[best]
-    best_updates = rows.updates(best_port[1:] != best_port[:-1])
-
-    pair_column = column[pid]
     grid = np.zeros((rows.count, len(ports) + 1), dtype=bool)
-    grid[row, pair_column] = True
-    grid = grid[:, :-1]
-    flooding = rows.flooding(
-        np.count_nonzero(grid, axis=1), (grid[1:] != grid[:-1]).any(axis=1)
-    )
+    grid[row, column[pid]] = True
+    return port_of_rank[best], grid[:, :-1]
+
+
+def _router_costs(routes: Sequence, pairs, rows: _Rows, stay):
+    """One router's ``(updates, port-hours, entries)`` per strategy.
+
+    Returns best-port's, controlled flooding's and union flooding's, in
+    that order; best-port holds no port set, so its port-hours and
+    entries are 0. ``stay[r]`` is the hours row ``r``'s set stood. A
+    union port set is a pure function of the prefixes ever seen, so it
+    grows from the rows of :func:`_row_ports`' grid.
+    """
+    best, grid = _row_ports(routes, pairs, rows)
+
+    def flooding(sizes, changed) -> Tuple[int, int, int]:
+        return (
+            rows.updates(changed),
+            int(stay @ sizes),
+            int(sizes[rows.last].sum()),
+        )
 
     # A port joins a name's union at the first row that routes to it.
-    first = np.full(
-        (len(rows.first), len(ports) + 1), rows.count, dtype=np.int32
-    )
-    np.minimum.at(first, (rows.name[row], pair_column), row)
-    first = first[:, :-1]
+    row, column = np.nonzero(grid)
+    first = np.full((len(rows.first), grid.shape[1]), rows.count)
+    np.minimum.at(first, (rows.name[row], column), row)
     joined = np.bincount(first[first < rows.count], minlength=rows.count)
     running = np.cumsum(joined)
-    union = rows.flooding(
-        running - (running - joined)[rows.first][rows.name], joined[1:] > 0
+    union = running - (running - joined)[rows.first][rows.name]
+    return (
+        (rows.updates(best[1:] != best[:-1]), 0, 0),
+        flooding(
+            np.count_nonzero(grid, axis=1), (grid[1:] != grid[:-1]).any(axis=1)
+        ),
+        flooding(union, joined[1:] > 0),
     )
-    return (best_updates, 0, 0), flooding, union
+
+
+def address_set_updates(
+    routers: Sequence[VantagePoint],
+    oracle: RoutingOracle,
+    matrices: Sequence,
+) -> Dict[ForwardingStrategy, Dict[str, int]]:
+    """Best-port and controlled-flooding updates over address-set rows.
+
+    The content pass's row reduction for any
+    :class:`~repro.workload.AddrsMatrix` timelines, whatever their
+    hours: per router, the events of ``matrices`` that change
+    ``best(FIB(R, d, t))`` and ``FIB(R, d, t)``, as
+    :meth:`ContentPortMapper.update_for_event` counts them. Returns
+    ``{strategy: {router name: updates}}``.
+    """
+    rows = _Rows(matrices)
+    prefixes, pairs = _prefix_pairs(oracle.topology, matrices, rows)
+    best_port = {}
+    flooding = {}
+    for router in routers:
+        best, grid = _row_ports(
+            [router.fib_best(oracle, p) for p in prefixes], pairs, rows
+        )
+        best_port[router.name] = rows.updates(best[1:] != best[:-1])
+        flooding[router.name] = rows.updates(
+            (grid[1:] != grid[:-1]).any(axis=1)
+        )
+    return {
+        ForwardingStrategy.BEST_PORT: best_port,
+        ForwardingStrategy.CONTROLLED_FLOODING: flooding,
+    }
 
 
 def per_day_update_rates(

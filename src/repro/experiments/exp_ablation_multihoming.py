@@ -15,9 +15,14 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List
 
-from ..core import ContentPortMapper, ForwardingStrategy
+from ..core import (
+    DeviceUpdateCostEvaluator,
+    ForwardingStrategy,
+    address_set_updates,
+)
 from ..engine import Series, register
 from ..mobility.multihoming import MultihomedTimeline, build_multihomed_timeline
+from ..workload import AddrsMatrix
 from .context import World
 from .report import banner, render_table
 
@@ -66,42 +71,15 @@ def run(
             build_multihomed_timeline(by_user[user_id], dual_radio=dual)
         )
 
-    mappers = [
-        ContentPortMapper(router, world.oracle) for router in world.routeviews
-    ]
-    single_updates = {m.vantage.name: 0 for m in mappers}
-    best_updates = {m.vantage.name: 0 for m in mappers}
-    flood_updates = {m.vantage.name: 0 for m in mappers}
-    events_single = events_multi = 0
-
-    # Single attachment baseline: classic per-event displacement.
-    for event in world.device_events:
-        events_single += 1
-        for mapper in mappers:
-            old = mapper.best_route_for_address(event.old.ip)
-            new = mapper.best_route_for_address(event.new.ip)
-            if old is not None and new is not None and (
-                old.next_hop != new.next_hop
-            ):
-                single_updates[mapper.vantage.name] += 1
-
+    # Single attachment baseline: classic Fig. 8 displacement.
+    evaluator = DeviceUpdateCostEvaluator(world.routeviews, world.oracle)
+    single = evaluator.evaluate(world.device_event_columns)
     # Multihomed sets: §3.3.1 strategies over the set timelines.
-    for timeline in timelines:
-        for event in timeline.events():
-            events_multi += 1
-            for mapper in mappers:
-                if mapper.update_for_event(
-                    ForwardingStrategy.BEST_PORT,
-                    event.old_addrs,
-                    event.new_addrs,
-                ):
-                    best_updates[mapper.vantage.name] += 1
-                if mapper.update_for_event(
-                    ForwardingStrategy.CONTROLLED_FLOODING,
-                    event.old_addrs,
-                    event.new_addrs,
-                ):
-                    flood_updates[mapper.vantage.name] += 1
+    matrices = [
+        AddrsMatrix.from_changes(t.user_id, t.changes) for t in timelines
+    ]
+    multi = address_set_updates(world.routeviews, world.oracle, matrices)
+    events_multi = sum(matrix.num_events for matrix in matrices)
 
     def rates(updates: Dict[str, int], events: int) -> Dict[str, float]:
         return {
@@ -110,12 +88,16 @@ def run(
         }
 
     return MultihomingResult(
-        single=rates(single_updates, events_single),
-        multi_best_port=rates(best_updates, events_multi),
-        multi_flooding=rates(flood_updates, events_multi),
+        single=single.rates,
+        multi_best_port=rates(
+            multi[ForwardingStrategy.BEST_PORT], events_multi
+        ),
+        multi_flooding=rates(
+            multi[ForwardingStrategy.CONTROLLED_FLOODING], events_multi
+        ),
         dual_radio_users=dual_count,
         total_users=len(timelines),
-        events_single=events_single,
+        events_single=single.num_events,
         events_multi=events_multi,
     )
 

@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from ..core import InterdomainPortMap
+from ..core.displacement import displaced, prefix_ids
 from ..engine import Series, register
 from ..mobility import HOURS_PER_DAY
 from ..obs import PaperTarget, PerfBudget
-from ..stats import median
+from ..stats import median, sequential_sum
 from .context import World
 from .report import banner, render_table
 
@@ -45,8 +45,8 @@ PAPER_TARGETS = (
 
 
 #: Cost bands for ``repro check``: the displacement measurement is a
-#: per-router, per-user-day columnar sweep, the second-heaviest pass
-#: after fig8 — the bands catch it regressing to per-event Python loops.
+#: per-router, per-user-day columnar sweep; the bands are loose enough
+#: to catch only order-of-magnitude blow-ups.
 PERF_BUDGETS = (
     PerfBudget(key="wall_s", hi=240.0, scales=("small",),
                note="fib-size small-scale displacement sweep"),
@@ -86,33 +86,30 @@ class FibSizeResult:
 )
 def run(world: World) -> FibSizeResult:
     """Measure time-weighted displacement per router."""
-    port_maps = [
-        InterdomainPortMap(router, world.oracle) for router in world.routeviews
-    ]
-    displaced_hours = {pm.vantage.name: 0.0 for pm in port_maps}
-    total_hours = 0.0
-    # Dominant address per user-day: the address of the dominant AS's
-    # longest-resident segment; we approximate with each segment
-    # compared against the day's dominant location segment.
+    # One row per segment: its address, its day's dominant address and
+    # its duration. The dominant address is the one with the most hours
+    # over the day (§6.3.1's definition); the first seen wins a tie.
+    here, home, durations = [], [], []
     for user_day in world.workload.user_days:
-        # The dominant location: the address with the most residence
-        # time over the whole day (§6.3.1's definition).
-        hours_by_ip: Dict[object, float] = {}
+        hours_by_ip: Dict[int, float] = {}
         for segment in user_day.segments:
-            ip = segment.location.ip
+            ip = segment.location.ip.value
             hours_by_ip[ip] = hours_by_ip.get(ip, 0.0) + segment.duration_hours
-        dominant_ip = max(hours_by_ip, key=lambda ip: hours_by_ip[ip])
-        total_hours += HOURS_PER_DAY
-        for pm in port_maps:
-            home_port = pm.port_for_address(dominant_ip)
-            if home_port is None:
-                continue
-            for segment in user_day.segments:
-                if segment.location.ip == dominant_ip:
-                    continue
-                port = pm.port_for_address(segment.location.ip)
-                if port is not None and port != home_port:
-                    displaced_hours[pm.vantage.name] += segment.duration_hours
+        dominant = max(hours_by_ip, key=hours_by_ip.__getitem__)
+        for segment in user_day.segments:
+            here.append(segment.location.ip.value)
+            home.append(dominant)
+            durations.append(segment.duration_hours)
+    prefixes, ids = prefix_ids(world.topology, here + home)
+    here_ids, home_ids = ids[:len(here)], ids[len(here):]
+    total_hours = float(HOURS_PER_DAY * len(world.workload.user_days))
+    displaced_hours = {}
+    for router in world.routeviews:
+        ports = router.next_hop_table(world.oracle, prefixes)
+        flags = displaced(ports, home_ids, here_ids).tolist()
+        displaced_hours[router.name] = sequential_sum(
+            hours for hours, flag in zip(durations, flags) if flag
+        )
     fractions = {
         name: hours / total_hours for name, hours in displaced_hours.items()
     }

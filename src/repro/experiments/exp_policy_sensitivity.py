@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
+from ..core.displacement import displaced, event_prefix_ids
 from ..engine import Series, register
-from ..mobility import MobilityEvent
-from ..net import IPv4Prefix
 from ..routing import Route, rank_key
 from .context import World
 from .report import banner, render_table
@@ -77,39 +76,25 @@ class PolicySensitivityResult:
     tags=("robustness", "name-based"),
 )
 def run(world: World) -> PolicySensitivityResult:
-    """Evaluate the device workload under every policy."""
-    events: List[MobilityEvent] = world.device_events
-    oracle = world.oracle
-    topology = world.topology
-    rates: Dict[str, Dict[str, float]] = {}
-    for policy_name, chooser in POLICIES.items():
-        updates = {router.name: 0 for router in world.routeviews}
-        for router in world.routeviews:
-            cache: Dict[IPv4Prefix, Optional[int]] = {}
+    """Evaluate the device workload under every policy.
 
-            def port_for(ip) -> Optional[int]:
-                prefix = topology.covering_prefix(ip)
-                if prefix is None:
-                    return None
-                if prefix not in cache:
-                    candidates = router.candidate_routes(oracle, prefix)
-                    cache[prefix] = (
-                        chooser(candidates).next_hop if candidates else None
-                    )
-                return cache[prefix]
-
-            count = 0
-            for event in events:
-                old = port_for(event.old.ip)
-                new = port_for(event.new.ip)
-                if old is not None and new is not None and old != new:
-                    count += 1
-            updates[router.name] = count
-        rates[policy_name] = {
-            name: n / len(events) if events else 0.0
-            for name, n in updates.items()
-        }
-    return PolicySensitivityResult(rates=rates, num_events=len(events))
+    Each router's RIB is read once per touched prefix; every policy
+    then picks its port per prefix and runs the batch §3.2 test.
+    """
+    columns = world.device_event_columns
+    count = len(columns)
+    prefixes, old, new = event_prefix_ids(world.topology, columns)
+    rates: Dict[str, Dict[str, float]] = {policy: {} for policy in POLICIES}
+    for router in world.routeviews:
+        candidates = [
+            router.candidate_routes(world.oracle, prefix)
+            for prefix in prefixes
+        ]
+        for policy, chooser in POLICIES.items():
+            ports = [chooser(c).next_hop if c else -1 for c in candidates]
+            updates = int(displaced(ports, old, new).sum())
+            rates[policy][router.name] = updates / count if count else 0.0
+    return PolicySensitivityResult(rates=rates, num_events=count)
 
 
 def format_result(result: PolicySensitivityResult) -> str:

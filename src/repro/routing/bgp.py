@@ -36,9 +36,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .. import obs
-from ..net import IPv4Address, IPv4Prefix
+from ..net import IPv4Prefix
 from ..topology import ASTopology, Relationship
-from .ranking import Route, best_route, rank_routes, synthetic_med
+from .ranking import Route, best_route, synthetic_med
 
 __all__ = [
     "PathType",
@@ -318,22 +318,3 @@ class VantagePoint:
             table = next_hop_table_batch(self, oracle, prefixes)
         obs.incr("vantage.next_hop_table.prefixes", len(prefixes))
         return table
-
-    def best_next_hop_for_address(
-        self, oracle: RoutingOracle, address: IPv4Address
-    ) -> Optional[int]:
-        """The output port (next-hop ASN) used for ``address``."""
-        prefix = oracle.topology.covering_prefix(address)
-        if prefix is None:
-            return None
-        best = self.fib_best(oracle, prefix)
-        return None if best is None else best.next_hop
-
-    def ranked_routes_for_address(
-        self, oracle: RoutingOracle, address: IPv4Address
-    ) -> List[Route]:
-        """All RIB routes covering ``address``, best first."""
-        prefix = oracle.topology.covering_prefix(address)
-        if prefix is None:
-            return []
-        return rank_routes(self.candidate_routes(oracle, prefix))

@@ -50,17 +50,25 @@ class AddrsMatrix:
         self.membership = membership
 
     @classmethod
-    def from_timeline(cls, timeline) -> "AddrsMatrix":
-        """Build the matrix for one ``AddressTimeline``."""
-        points = timeline.change_points()
-        addrs = sorted(timeline.union_all())
+    def from_changes(cls, name, points) -> "AddrsMatrix":
+        """Build the matrix from ``(hour, address set)`` change points.
+
+        ``hours`` keeps the points' number type: integers for a content
+        timeline's whole hours, float64 for a device's fractional ones.
+        """
+        addrs = sorted(frozenset().union(*(s for _, s in points)))
         index = {addr: j for j, addr in enumerate(addrs)}
-        hours = np.array([h for h, _ in points], dtype=np.int64)
+        hours = np.array([h for h, _ in points])
         membership = np.zeros((len(points), len(addrs)), dtype=bool)
         for i, (_, addr_set) in enumerate(points):
             for addr in addr_set:
                 membership[i, index[addr]] = True
-        return cls(timeline.name, hours, tuple(addrs), membership)
+        return cls(name, hours, tuple(addrs), membership)
+
+    @classmethod
+    def from_timeline(cls, timeline) -> "AddrsMatrix":
+        """Build the matrix for one ``AddressTimeline``."""
+        return cls.from_changes(timeline.name, timeline.change_points())
 
     @property
     def num_events(self) -> int:

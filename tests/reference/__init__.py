@@ -10,6 +10,11 @@ probes. Their parity oracles live here, written the plain way:
 :mod:`.evaluators`
     Per-event device, per-day and content update counts: loops over
     ``interdomain_displaced`` and ``ContentPortMapper.update_for_event``.
+:mod:`.experiments`
+    The per-event displacement loops of policy-sensitivity, fib-size and
+    ablation-multihoming: a ``port_for`` replay per policy, a segment
+    replay against each day's dominant address, and single-attachment
+    and ``update_for_event`` replays of the multihomed workload.
 :mod:`.convergence`
     Arrival times from BFS hop distances, and per-source, per-probe
     outage walks over ``ConvergenceSimulator.deliver`` and

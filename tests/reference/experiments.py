@@ -1,0 +1,200 @@
+"""Per-event displacement loops: the device experiments' reference.
+
+policy-sensitivity, fib-size and ablation-multihoming ask the §3.2 and
+§3.3.1 questions of a whole workload through the batch functions in
+:mod:`repro.core`. These are the loops they replaced, written the plain
+way: one event or segment at a time through the scalar public APIs
+(``candidate_routes``, ``InterdomainPortMap.port_for_address``,
+``ContentPortMapper.best_route_for_address`` and
+``update_for_event``). Each function returns what its experiment's
+``run`` returns for the same ``world``, which needs only ``oracle``,
+``topology``, ``routeviews``, ``device_events`` and
+``workload.user_days``.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Dict, List, Optional, Tuple
+
+from repro.core import ContentPortMapper, ForwardingStrategy
+from repro.core.displacement import InterdomainPortMap
+from repro.experiments.exp_ablation_multihoming import MultihomingResult
+from repro.experiments.exp_fib_size import FibSizeResult
+from repro.experiments.exp_policy_sensitivity import (
+    POLICIES,
+    PolicySensitivityResult,
+)
+from repro.mobility import HOURS_PER_DAY
+from repro.mobility.multihoming import build_multihomed_timeline
+
+__all__ = [
+    "policy_sensitivity",
+    "fib_size",
+    "single_attachment_updates",
+    "multihomed_updates",
+    "ablation_multihoming",
+]
+
+
+def policy_sensitivity(world) -> PolicySensitivityResult:
+    """§3.2 policy rates: each policy's port per event, per router."""
+    events = world.device_events
+    oracle = world.oracle
+    topology = world.topology
+    rates: Dict[str, Dict[str, float]] = {}
+    for policy_name, chooser in POLICIES.items():
+        updates = {router.name: 0 for router in world.routeviews}
+        for router in world.routeviews:
+            cache: Dict[object, Optional[int]] = {}
+
+            def port_for(ip) -> Optional[int]:
+                prefix = topology.covering_prefix(ip)
+                if prefix is None:
+                    return None
+                if prefix not in cache:
+                    candidates = router.candidate_routes(oracle, prefix)
+                    cache[prefix] = (
+                        chooser(candidates).next_hop if candidates else None
+                    )
+                return cache[prefix]
+
+            count = 0
+            for event in events:
+                old = port_for(event.old.ip)
+                new = port_for(event.new.ip)
+                if old is not None and new is not None and old != new:
+                    count += 1
+            updates[router.name] = count
+        rates[policy_name] = {
+            name: n / len(events) if events else 0.0
+            for name, n in updates.items()
+        }
+    return PolicySensitivityResult(rates=rates, num_events=len(events))
+
+
+def fib_size(world) -> FibSizeResult:
+    """§6.2 displaced fraction: each segment against its day's home."""
+    port_maps = [
+        InterdomainPortMap(router, world.oracle) for router in world.routeviews
+    ]
+    displaced_hours = {pm.vantage.name: 0.0 for pm in port_maps}
+    total_hours = 0.0
+    for user_day in world.workload.user_days:
+        # The dominant location: the address with the most residence
+        # time over the whole day (§6.3.1's definition).
+        hours_by_ip: Dict[object, float] = {}
+        for segment in user_day.segments:
+            ip = segment.location.ip
+            hours_by_ip[ip] = hours_by_ip.get(ip, 0.0) + segment.duration_hours
+        dominant_ip = max(hours_by_ip, key=lambda ip: hours_by_ip[ip])
+        total_hours += HOURS_PER_DAY
+        for pm in port_maps:
+            home_port = pm.port_for_address(dominant_ip)
+            if home_port is None:
+                continue
+            for segment in user_day.segments:
+                if segment.location.ip == dominant_ip:
+                    continue
+                port = pm.port_for_address(segment.location.ip)
+                if port is not None and port != home_port:
+                    displaced_hours[pm.vantage.name] += segment.duration_hours
+    fractions = {
+        name: hours / total_hours for name, hours in displaced_hours.items()
+    }
+    return FibSizeResult(
+        displaced_fraction=fractions,
+        user_days=len(world.workload.user_days),
+    )
+
+
+def single_attachment_updates(
+    routers, oracle, events
+) -> Tuple[Dict[str, int], int]:
+    """``(updates per router, events)``: per-event best-route compare."""
+    mappers = [ContentPortMapper(router, oracle) for router in routers]
+    updates = {m.vantage.name: 0 for m in mappers}
+    count = 0
+    for event in events:
+        count += 1
+        for mapper in mappers:
+            old = mapper.best_route_for_address(event.old.ip)
+            new = mapper.best_route_for_address(event.new.ip)
+            if old is not None and new is not None and (
+                old.next_hop != new.next_hop
+            ):
+                updates[mapper.vantage.name] += 1
+    return updates, count
+
+
+def multihomed_updates(
+    routers, oracle, timelines
+) -> Tuple[Dict[str, int], Dict[str, int], int]:
+    """``(best-port, controlled-flooding, events)`` over set timelines.
+
+    One :meth:`ContentPortMapper.update_for_event` call per strategy,
+    event and router; ``timelines`` carry ``events()`` of old and new
+    address sets, like :class:`~repro.mobility.MultihomedTimeline`.
+    """
+    mappers = [ContentPortMapper(router, oracle) for router in routers]
+    best = {m.vantage.name: 0 for m in mappers}
+    flooding = {m.vantage.name: 0 for m in mappers}
+    count = 0
+    for timeline in timelines:
+        for event in timeline.events():
+            count += 1
+            for mapper in mappers:
+                if mapper.update_for_event(
+                    ForwardingStrategy.BEST_PORT,
+                    event.old_addrs,
+                    event.new_addrs,
+                ):
+                    best[mapper.vantage.name] += 1
+                if mapper.update_for_event(
+                    ForwardingStrategy.CONTROLLED_FLOODING,
+                    event.old_addrs,
+                    event.new_addrs,
+                ):
+                    flooding[mapper.vantage.name] += 1
+    return best, flooding, count
+
+
+def ablation_multihoming(
+    world, dual_radio_prob: float = 0.7, seed: int = 2014
+) -> MultihomingResult:
+    """§3.3 on devices: both legs replayed event by event."""
+    rng = random.Random(seed)
+    by_user: Dict[str, List] = {}
+    for user_day in world.workload.user_days:
+        by_user.setdefault(user_day.user_id, []).append(user_day)
+    timelines = []
+    dual_count = 0
+    for user_id in sorted(by_user):
+        dual = rng.random() < dual_radio_prob
+        dual_count += int(dual)
+        timelines.append(
+            build_multihomed_timeline(by_user[user_id], dual_radio=dual)
+        )
+
+    single, events_single = single_attachment_updates(
+        world.routeviews, world.oracle, world.device_events
+    )
+    best, flooding, events_multi = multihomed_updates(
+        world.routeviews, world.oracle, timelines
+    )
+
+    def rates(updates: Dict[str, int], events: int) -> Dict[str, float]:
+        return {
+            name: (count / events if events else 0.0)
+            for name, count in updates.items()
+        }
+
+    return MultihomingResult(
+        single=rates(single, events_single),
+        multi_best_port=rates(best, events_multi),
+        multi_flooding=rates(flooding, events_multi),
+        dual_radio_users=dual_count,
+        total_users=len(timelines),
+        events_single=events_single,
+        events_multi=events_multi,
+    )

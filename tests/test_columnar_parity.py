@@ -5,10 +5,14 @@ vectorized device/content evaluators and ``per_day_update_rates`` must
 produce exactly the reports — and therefore exactly the ledger series
 digests — that per-event loops over the public displacement and
 strategy APIs produce (``tests/reference/evaluators.py``, ranking
-routes from the dict-BFS reference oracle). These tests run both and
-compare everything, including digests.
+routes from the dict-BFS reference oracle). The device experiments
+that ask the same questions (policy-sensitivity, fib-size,
+ablation-multihoming) are held to their old per-event loops in
+``tests/reference/experiments.py`` the same way. These tests run both
+and compare everything, including digests.
 """
 
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -21,16 +25,27 @@ from repro.core import (
     ContentUpdateCostEvaluator,
     DeviceUpdateCostEvaluator,
     ForwardingStrategy,
+    address_set_updates,
     evaluate_tradeoff,
     per_day_update_rates,
 )
-from repro.mobility import MobilityEvent
+from repro.experiments import (
+    SMALL_SCALE,
+    World,
+    exp_ablation_multihoming,
+    exp_fib_size,
+    exp_fig8,
+    exp_policy_sensitivity,
+)
+from repro.mobility import DaySegment, MobilityEvent, UserDay
+from repro.mobility.multihoming import MultihomedTimeline
 from repro.net import ContentName, parse_address, parse_prefix
 from repro.obs.history import digest_series
 from repro.routing import RoutingOracle, VantagePoint
 from repro.topology import Relationship
-from repro.workload import DeviceEventColumns
+from repro.workload import AddrsMatrix, DeviceEventColumns
 
+from tests.reference import experiments as reference_experiments
 from tests.reference.evaluators import (
     content_report,
     device_report,
@@ -272,3 +287,228 @@ class TestContentCostsParity:
         report = evaluator.evaluate(meas, ForwardingStrategy.BEST_PORT)
         assert report.num_events == 0
         assert set(report.rates.values()) == {0.0}
+
+
+# -- the device experiments against their per-event loops -------------
+
+def device_routers():
+    """Vantages over :func:`content_internet` for the device experiments.
+
+    ``vp`` reaches both prefixes over its two peers, ``east`` only AS
+    7's (10.6.0.0/16 is covered but unrouted there), and ``multi`` holds
+    several candidates per prefix, so the three policies can disagree.
+    """
+    return [
+        vantage("vp"),
+        VantagePoint(name="east", host_region="us-east",
+                     neighbors={4: Relationship.PEER}),
+        VantagePoint(name="multi", host_region="us-west",
+                     neighbors={1: Relationship.PROVIDER,
+                                3: Relationship.PEER,
+                                4: Relationship.PEER}),
+    ]
+
+
+def day(user, index, segments):
+    """A user day from ``(location, hours, net type)`` segments."""
+    start, parts = 0.0, []
+    for location, hours, net_type in segments:
+        parts.append(DaySegment(location, start, hours, net_type))
+        start += hours
+    return UserDay(user, index, parts)
+
+
+def device_days():
+    return [
+        # L6 and L7 tie on 9 hours; L6, seen first, is dominant. L6B
+        # shares L6's prefix.
+        day("a", 0, [(L6, 9.0, "wifi"), (L7, 9.0, "cellular"),
+                     (L6B, 6.0, "wifi")]),
+        # The dominant address is one no prefix covers.
+        day("a", 1, [(L_DARK, 16.0, "wifi"), (L6, 4.0, "cellular"),
+                     (L7, 4.0, "wifi")]),
+        # One segment: no event, and a one-row multihomed timeline.
+        day("b", 0, [(L6, 24.0, "wifi")]),
+        # An uncovered segment inside a covered day.
+        day("c", 0, [(L7, 20.0, "wifi"), (L_DARK, 4.0, "wifi")]),
+    ]
+
+
+def device_world(oracle, days=None):
+    """The parts of a World the three device experiments read."""
+    days = device_days() if days is None else days
+    events = [event for d in days for event in d.transitions()]
+    return SimpleNamespace(
+        topology=oracle.topology,
+        oracle=oracle,
+        routeviews=device_routers(),
+        workload=SimpleNamespace(user_days=days),
+        device_events=events,
+        device_event_columns=DeviceEventColumns.from_events(events),
+    )
+
+
+def device_worlds(days=None):
+    """The array oracle's world, and the dict-BFS reference's."""
+    topo = content_internet()
+    return (device_world(RoutingOracle(topo), days),
+            device_world(ReferenceOracle(topo), days))
+
+
+def assert_same_result(module, vector, reference):
+    assert vector == reference
+    for field in vars(reference):
+        value = getattr(reference, field)
+        if isinstance(value, dict):
+            assert list(getattr(vector, field)) == list(value), field
+    digests = lambda result: [
+        digest_series(s.name, s.headers, s.rows) for s in module.series(result)
+    ]
+    assert digests(vector) == digests(reference)
+
+
+class TestDeviceExperimentParity:
+    def test_policy_sensitivity(self):
+        world, reference_world = device_worlds()
+        vector = exp_policy_sensitivity.run(world)
+        assert_same_result(
+            exp_policy_sensitivity, vector,
+            reference_experiments.policy_sensitivity(reference_world),
+        )
+        assert vector.num_events == 5
+        # vp: L6->L7 and L6->L7 again; L7->L6B; L_DARK never counts.
+        assert vector.rates["bgp"]["vp"] == 3 / 5
+        # east routes only 10.7.0.0/16, so no move changes its port.
+        assert {r["east"] for r in vector.rates.values()} == {0.0}
+
+    def test_policy_bgp_row_is_fig8(self):
+        world, _ = device_worlds()
+        report = DeviceUpdateCostEvaluator(
+            world.routeviews, world.oracle
+        ).evaluate(world.device_event_columns)
+        assert exp_policy_sensitivity.run(world).rates["bgp"] == report.rates
+
+    def test_fib_size(self):
+        world, reference_world = device_worlds()
+        vector = exp_fib_size.run(world)
+        reference = reference_experiments.fib_size(reference_world)
+        assert_same_result(exp_fib_size, vector, reference)
+        # Only day a0's L7 segment is displaced at vp: its first-seen
+        # dominant address L6 ties with L7, and L6B shares L6's port.
+        # The uncovered-dominant day adds 24 hours and no displacement.
+        assert vector.displaced_fraction == {
+            "vp": 9.0 / 96.0, "east": 0.0, "multi": 9.0 / 96.0,
+        }
+
+    def test_fib_size_uncovered_dominant(self):
+        days = [day("a", 0, [(L_DARK, 16.0, "wifi"), (L6, 4.0, "wifi"),
+                             (L7, 4.0, "wifi")])]
+        world, reference_world = device_worlds(days)
+        vector = exp_fib_size.run(world)
+        assert vector == reference_experiments.fib_size(reference_world)
+        assert vector.user_days == 1
+        assert set(vector.displaced_fraction.values()) == {0.0}
+
+    @pytest.mark.parametrize("dual_radio_prob", [0.0, 1.0])
+    def test_ablation_multihoming(self, dual_radio_prob):
+        world, reference_world = device_worlds()
+        vector = exp_ablation_multihoming.run(world, dual_radio_prob)
+        reference = reference_experiments.ablation_multihoming(
+            reference_world, dual_radio_prob
+        )
+        assert_same_result(exp_ablation_multihoming, vector, reference)
+        assert vector.events_single == 5
+        assert vector.total_users == 3
+
+    def test_single_leg_is_fig8(self):
+        world, _ = device_worlds()
+        report = DeviceUpdateCostEvaluator(
+            world.routeviews, world.oracle
+        ).evaluate(world.device_event_columns)
+        assert exp_ablation_multihoming.run(world).single == report.rates
+
+    def test_one_change_point_has_no_event(self):
+        routers, oracle, _ = two_routers()
+        matrix = AddrsMatrix.from_changes(
+            "b", [(0.0, frozenset({L6.ip, L7.ip}))]
+        )
+        updates = address_set_updates(routers, oracle, [matrix])
+        assert updates == {
+            ForwardingStrategy.BEST_PORT: {"vp1": 0, "vp2": 0},
+            ForwardingStrategy.CONTROLLED_FLOODING: {"vp1": 0, "vp2": 0},
+        }
+        assert address_set_updates(routers, oracle, [])[
+            ForwardingStrategy.BEST_PORT
+        ] == {"vp1": 0, "vp2": 0}
+
+
+@st.composite
+def address_set_timelines(draw):
+    """Random float-hour set timelines: empty sets, repeats, one row."""
+    timelines = []
+    for index in range(draw(st.integers(0, 4))):
+        hours = sorted(draw(st.sets(
+            st.floats(0.0, 100.0, allow_nan=False), min_size=1, max_size=8
+        )))
+        changes = [
+            (hour, frozenset(
+                parse_address(a) for a in draw(st.sets(
+                    st.sampled_from(CONTENT_ADDRESSES), max_size=3
+                ))
+            ))
+            for hour in hours
+        ]
+        timelines.append(MultihomedTimeline(f"u{index}", True, changes))
+    return timelines
+
+
+class TestAddressSetParity:
+    @settings(max_examples=50, deadline=None)
+    @given(address_set_timelines())
+    def test_random_timelines(self, timelines):
+        routers, oracle, reference_oracle = content_routers()
+        best, flooding, _ = reference_experiments.multihomed_updates(
+            routers, reference_oracle, timelines
+        )
+        matrices = [
+            AddrsMatrix.from_changes(t.user_id, t.changes) for t in timelines
+        ]
+        assert address_set_updates(routers, oracle, matrices) == {
+            ForwardingStrategy.BEST_PORT: best,
+            ForwardingStrategy.CONTROLLED_FLOODING: flooding,
+        }
+
+
+@pytest.fixture(scope="module")
+def small_world():
+    return World(SMALL_SCALE)
+
+
+class TestSmallScaleExperimentParity:
+    """Each experiment equals its per-event loop on the small World."""
+
+    def test_policy_sensitivity(self, small_world):
+        vector = exp_policy_sensitivity.run(small_world)
+        assert_same_result(
+            exp_policy_sensitivity, vector,
+            reference_experiments.policy_sensitivity(small_world),
+        )
+        fig8 = exp_fig8.run(small_world).report.rates
+        assert vector.rates["bgp"] == fig8
+        assert list(vector.rates["bgp"]) == list(fig8)
+
+    def test_fib_size(self, small_world):
+        assert_same_result(
+            exp_fib_size, exp_fib_size.run(small_world),
+            reference_experiments.fib_size(small_world),
+        )
+
+    def test_ablation_multihoming(self, small_world):
+        vector = exp_ablation_multihoming.run(small_world)
+        assert_same_result(
+            exp_ablation_multihoming, vector,
+            reference_experiments.ablation_multihoming(small_world),
+        )
+        fig8 = exp_fig8.run(small_world).report.rates
+        assert vector.single == fig8
+        assert list(vector.single) == list(fig8)

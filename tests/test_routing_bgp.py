@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import IPv4Prefix, parse_address, parse_prefix
+from repro.net import IPv4Prefix, parse_prefix
 from repro.routing import BestPath, PathType, RoutingOracle, VantagePoint
 from repro.topology import (
     ASNode,
@@ -238,20 +238,6 @@ class TestVantagePoint:
         assert best is not None
         assert best.next_hop == 4
         assert best.relationship is Relationship.CUSTOMER
-
-    def test_best_next_hop_for_address(self, oracle):
-        vp = self.make_vantage()
-        nh = vp.best_next_hop_for_address(oracle, parse_address("10.6.1.2"))
-        assert nh == 3  # peer route, shortest path, beats provider 1
-
-    def test_unknown_address_has_no_route(self, oracle):
-        vp = self.make_vantage()
-        assert vp.best_next_hop_for_address(oracle, parse_address("99.0.0.1")) is None
-
-    def test_ranked_routes_sorted(self, oracle):
-        vp = self.make_vantage()
-        routes = vp.ranked_routes_for_address(oracle, parse_address("10.6.1.2"))
-        assert [r.next_hop for r in routes] == [3, 1]
 
     def test_next_hop_degree(self):
         assert self.make_vantage().next_hop_degree() == 3

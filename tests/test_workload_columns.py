@@ -144,7 +144,17 @@ class TestAddrsMatrix:
         assert matrix.num_addrs == len(tl.union_all()) == 2
         hours, membership = matrix.as_columns()
         assert hours.tolist() == [0, 5, 9]
+        assert hours.dtype == np.int64
         assert membership.shape == (3, 2)
+
+    def test_from_changes_keeps_float_hours(self):
+        a, b = parse_address("10.6.0.1"), parse_address("10.7.0.1")
+        matrix = AddrsMatrix.from_changes(
+            "u", [(0.5, frozenset({a})), (2.25, frozenset({a, b}))]
+        )
+        assert matrix.hours.tolist() == [0.5, 2.25]
+        assert matrix.addrs == (a, b)
+        assert matrix.membership.tolist() == [[True, False], [True, True]]
 
     def test_rows_round_trip_to_sets(self):
         tl = self._timeline()
