@@ -9,7 +9,8 @@ Walks the paper's §7 content pipeline on a small scale:
    and show one CDN-delegated name's churning address set;
 3. evaluate best-port vs controlled-flooding update cost at the
    RouteViews routers (Fig. 11b/c);
-4. compute FIB aggregateability under longest-prefix matching (Fig. 12).
+4. compute FIB aggregateability under longest-prefix matching (Fig. 12)
+   from the hour-0 best ports the same evaluation pass found.
 
 Run:  python examples/content_mobility_study.py
 """
@@ -23,7 +24,8 @@ from repro.content import (
 from repro.core import (
     ContentUpdateCostEvaluator,
     ForwardingStrategy,
-    router_aggregateability,
+    aggregateability,
+    lpm_forwarding_table,
 )
 from repro.measurement import (
     MeasurementConfig,
@@ -90,13 +92,18 @@ def main() -> None:
     )
 
     print("4. FIB aggregateability under LPM (Fig. 12)...")
+    names = measurement.names()
+    hour0_ports = evaluator.costs(measurement).hour0_ports
     for router in (routers[0], routers[9]):  # Oregon-1 and Mauritius
-        ratio, complete, lpm = router_aggregateability(
-            router, oracle, measurement
-        )
+        complete = {
+            name: port
+            for name, port in zip(names, hour0_ports[router.name])
+            if port >= 0  # -1: no hour-0 address routed, no entry
+        }
+        lpm = lpm_forwarding_table(complete)
         print(
             f"   {router.name:10s}: {len(complete)} entries -> {len(lpm)} "
-            f"after subsumption ({ratio:.1f}x)"
+            f"after subsumption ({aggregateability(complete, lpm):.1f}x)"
         )
     print(
         "\n   Content names aggregate because subdomains usually live on "

@@ -27,11 +27,11 @@ viewable in Perfetto.
 Every run also measures its own footprint (:mod:`repro.obs.resources`):
 every span carries its CPU seconds and RSS at exit; records,
 manifests, and sweep rows carry peak RSS and CPU per experiment;
-``--profile-mem`` adds tracemalloc span enrichment; ``--progress``
-renders a live status line with the driver's RSS and an ETA; ``check``
-additionally enforces the ``PERF_BUDGETS`` bands experiment modules
-declare (nonzero exit on a blown budget); and ``report --perf`` writes
-the ``BENCH_<git-sha>.json`` trajectory record CI uploads per commit.
+``--progress`` renders a live status line with the driver's RSS and an
+ETA; ``check`` additionally enforces the ``PERF_BUDGETS`` bands
+experiment modules declare (nonzero exit on a blown budget); and
+``report --perf`` writes the ``BENCH_<git-sha>.json`` trajectory
+record CI uploads per commit.
 
 When a run ledger is configured (``REPRO_LEDGER_DIR`` or
 ``--ledger-dir``), every ``run`` appends a manifest — git SHA, seed,
@@ -195,14 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append per-experiment phase timings, the slowest spans, "
         "and cache/oracle counters (stderr under --format json)",
-    )
-    run_parser.add_argument(
-        "--profile-mem",
-        action="store_true",
-        dest="profile_mem",
-        help="tracemalloc span enrichment: every trace span records "
-        "its allocation delta/peak, experiment spans their top "
-        "allocation sites (workers inherit via REPRO_PROFILE_MEM)",
     )
     run_parser.add_argument(
         "--progress",
@@ -612,7 +604,7 @@ def _run(
     profile: bool = False, metrics_out: Optional[str] = None,
     trace_out: Optional[str] = None, ledger_dir: Optional[str] = None,
     timeout_s: Optional[float] = None, resume: Optional[str] = None,
-    profile_mem: bool = False, progress: bool = False,
+    progress: bool = False,
 ) -> int:
     """Run ``names`` through the engine; returns a process exit code."""
     out = out if out is not None else sys.stdout
@@ -664,8 +656,6 @@ def _run(
 
     started = perf_counter()
     obs.reset_metrics()  # clean driver-side registry for this run
-    if profile_mem:
-        obs.enable_mem_profile()
     start_sample = obs.sample_resources()
     reporter: Optional[obs.ProgressReporter] = None
     if progress:
@@ -705,13 +695,6 @@ def _run(
     finally:
         if reporter is not None:
             reporter.close()
-        if profile_mem:
-            import tracemalloc
-
-            obs.set_span_enricher(None)
-            os.environ.pop(obs.PROFILE_MEM_ENV, None)
-            if tracemalloc.is_tracing():
-                tracemalloc.stop()
     driver_resources = _driver_resources(start_sample)
     elapsed = perf_counter() - started
     driver = obs.metrics().snapshot()
@@ -1265,8 +1248,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             output_format=args.output_format, profile=args.profile,
             metrics_out=args.metrics_out, trace_out=args.trace_out,
             ledger_dir=args.ledger_dir, timeout_s=args.timeout_s,
-            resume=args.resume, profile_mem=args.profile_mem,
-            progress=args.progress,
+            resume=args.resume, progress=args.progress,
         )
     if args.command == "check":
         return _check(args.ledger_dir)

@@ -3,12 +3,7 @@ methodology, forwarding strategies, update-cost evaluation,
 aggregateability, the §5 analytic model, and the back-of-the-envelope
 calculators."""
 
-from .aggregate import (
-    aggregateability,
-    complete_forwarding_table,
-    lpm_forwarding_table,
-    router_aggregateability,
-)
+from .aggregate import aggregateability, lpm_forwarding_table
 from .analytic import (
     TOPOLOGY_KINDS,
     Table1Row,
@@ -80,10 +75,8 @@ __all__ = [
     "MobilityTimeline",
     "per_day_update_rates",
     "pearson_correlation",
-    "complete_forwarding_table",
     "lpm_forwarding_table",
     "aggregateability",
-    "router_aggregateability",
     "Table1Row",
     "TOPOLOGY_KINDS",
     "closed_form_row",

@@ -8,41 +8,21 @@ already maps to the same port (Fig. 3: ``[travel.yahoo.com, 2]`` is
 subsumed by ``[yahoo.com, 2]``, while ``[sports.yahoo.com, 5]`` must
 stay).
 
-Aggregateability = |complete| / |LPM|.
+Aggregateability = |complete| / |LPM|. Fig. 12 builds each router's
+complete table from the content pass's hour-0 best ports
+(:attr:`repro.core.ContentCosts.hour0_ports`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
-from ..measurement.vantage import ContentMeasurement
 from ..net import ContentName, NameTrie
-from ..routing import RoutingOracle, VantagePoint
-from .strategies import ContentPortMapper
 
 __all__ = [
-    "complete_forwarding_table",
     "lpm_forwarding_table",
     "aggregateability",
-    "router_aggregateability",
 ]
-
-
-def complete_forwarding_table(
-    mapper: ContentPortMapper,
-    address_sets: Mapping[ContentName, FrozenSet],
-) -> Dict[ContentName, int]:
-    """Best-port forwarding entry for every name (the complete table).
-
-    Names whose address set yields no route at this router are omitted
-    — a real router cannot install an entry it has no port for.
-    """
-    table: Dict[ContentName, int] = {}
-    for name in sorted(address_sets):
-        port = mapper.best_port(address_sets[name])
-        if port is not None:
-            table[name] = port
-    return table
 
 
 def lpm_forwarding_table(
@@ -80,23 +60,3 @@ def aggregateability(
         raise ValueError("non-empty complete table reduced to empty LPM table")
     return len(complete) / len(lpm)
 
-
-def router_aggregateability(
-    vantage: VantagePoint,
-    oracle: RoutingOracle,
-    measurement: ContentMeasurement,
-    hour: int = 0,
-) -> Tuple[float, Dict[ContentName, int], Dict[ContentName, int]]:
-    """Fig. 12 for one router: aggregateability over a measured set.
-
-    Uses each name's address set at ``hour`` with best-port forwarding.
-    Returns ``(ratio, complete_table, lpm_table)``.
-    """
-    mapper = ContentPortMapper(vantage, oracle)
-    address_sets = {
-        name: measurement.timeline(name).set_at(hour)
-        for name in measurement.names()
-    }
-    complete = complete_forwarding_table(mapper, address_sets)
-    lpm = lpm_forwarding_table(complete)
-    return aggregateability(complete, lpm), complete, lpm

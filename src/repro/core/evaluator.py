@@ -162,9 +162,10 @@ class ContentCosts:
     What :meth:`ContentUpdateCostEvaluator.costs` computes in its one
     pass: update counts for all three strategies and, for the two
     flooding strategies, port-set sizes weighted by the hours each
-    ``Addrs(d, t)`` set stood, plus each name's final port-set size.
-    All are integers, so every rate and copies value is one division
-    away from them.
+    ``Addrs(d, t)`` set stood, plus each name's final port-set size;
+    and each name's hour-0 best port, the complete forwarding table
+    Fig. 12 reduces. All are integers, so every rate and copies value
+    is one division away from them.
     """
 
     #: Router names, in the evaluator's order.
@@ -181,6 +182,10 @@ class ContentCosts:
     #: ``entries[strategy][router]``: each name's final port-set size,
     #: summed over names (flooding strategies).
     entries: Dict[ForwardingStrategy, Dict[str, int]]
+    #: ``hour0_ports[router][n]``: the best port for the ``n``-th of
+    #: ``measurement.names()`` at hour 0, -1 when no address in its
+    #: hour-0 set is routed.
+    hour0_ports: Dict[str, Tuple[int, ...]]
 
     def report(self, strategy: ForwardingStrategy) -> UpdateRateReport:
         """Per-router update rates for ``strategy``, in fresh dicts."""
@@ -238,11 +243,12 @@ class ContentUpdateCostEvaluator:
 
     :meth:`costs` reduces a measurement once for every router and
     strategy and memoizes the result; :meth:`evaluate`,
-    :meth:`union_table_sizes` and
-    :func:`~repro.core.tradeoff.evaluate_tradeoff` read it. The parity
-    tests hold every read to the per-event §3.3.1 definitions of
-    :meth:`ContentPortMapper.update_for_event` and the §3.3.3 replays
-    in ``tests/reference``.
+    :meth:`union_table_sizes`,
+    :func:`~repro.core.tradeoff.evaluate_tradeoff` and Fig. 12 read it.
+    The parity tests hold every read to the per-event §3.3.1
+    definitions of :meth:`ContentPortMapper.update_for_event`,
+    :meth:`ContentPortMapper.best_port` and the §3.3.3 replays in
+    ``tests/reference``.
     """
 
     def __init__(self, routers: Sequence[VantagePoint], oracle: RoutingOracle):
@@ -289,6 +295,7 @@ class ContentUpdateCostEvaluator:
         # [router, strategy in _router_costs' order, (updates,
         # port-hours, entries)]
         sums = np.zeros((len(self._mappers), 3, 3), dtype=np.int64)
+        hour0_ports: List[List[int]] = [[] for _ in self._mappers]
         num_events = total_hours = 0
         for batch in _batches([measurement.timeline(n) for n in names]):
             matrices = [timeline.as_matrix() for timeline in batch]
@@ -303,9 +310,13 @@ class ContentUpdateCostEvaluator:
             prefixes, pairs = _prefix_pairs(
                 self._oracle.topology, matrices, rows
             )
-            for costs, mapper in zip(sums, self._mappers):
+            for costs, ports, mapper in zip(
+                sums, hour0_ports, self._mappers
+            ):
                 routes = [mapper.route_for_prefix(p) for p in prefixes]
-                costs += _router_costs(routes, pairs, rows, stay)
+                initial, router_costs = _router_costs(routes, pairs, rows, stay)
+                costs += router_costs
+                ports.extend(initial.tolist())
             num_events += rows.count - len(batch)
             total_hours += int(stay.sum())
         routers = tuple(m.vantage.name for m in self._mappers)
@@ -323,6 +334,10 @@ class ContentUpdateCostEvaluator:
             updates={s: per_router(s, 0) for s in ForwardingStrategy},
             port_hours={s: per_router(s, 1) for s in _FLOODING},
             entries={s: per_router(s, 2) for s in _FLOODING},
+            hour0_ports={
+                router: tuple(ports)
+                for router, ports in zip(routers, hour0_ports)
+            },
         )
 
 
@@ -406,13 +421,16 @@ def _row_ports(routes: Sequence, pairs, rows: _Rows):
 
 
 def _router_costs(routes: Sequence, pairs, rows: _Rows, stay):
-    """One router's ``(updates, port-hours, entries)`` per strategy.
+    """One router's hour-0 best ports and its costs per strategy.
 
-    Returns best-port's, controlled flooding's and union flooding's, in
-    that order; best-port holds no port set, so its port-hours and
-    entries are 0. ``stay[r]`` is the hours row ``r``'s set stood. A
-    union port set is a pure function of the prefixes ever seen, so it
-    grows from the rows of :func:`_row_ports`' grid.
+    Returns ``(initial, costs)``: ``initial[n]`` is the best port of
+    timeline ``n``'s first row, its hour-0 set (-1 when unrouted), and
+    ``costs`` holds ``(updates, port-hours, entries)`` for best-port,
+    controlled flooding and union flooding, in that order; best-port
+    holds no port set, so its port-hours and entries are 0. ``stay[r]``
+    is the hours row ``r``'s set stood. A union port set is a pure
+    function of the prefixes ever seen, so it grows from the rows of
+    :func:`_row_ports`' grid.
     """
     best, grid = _row_ports(routes, pairs, rows)
 
@@ -430,7 +448,7 @@ def _router_costs(routes: Sequence, pairs, rows: _Rows, stay):
     joined = np.bincount(first[first < rows.count], minlength=rows.count)
     running = np.cumsum(joined)
     union = running - (running - joined)[rows.first][rows.name]
-    return (
+    return best[rows.first], (
         (rows.updates(best[1:] != best[:-1]), 0, 0),
         flooding(
             np.count_nonzero(grid, axis=1), (grid[1:] != grid[:-1]).any(axis=1)

@@ -247,18 +247,6 @@ def _prebuild_world(scale, cache_root: Optional[str]):
     return key if added else None
 
 
-def _init_worker() -> None:
-    """Pool initializer: turn on ``--profile-mem`` in the worker.
-
-    Must never raise — an initializer exception poisons the whole
-    pool, and telemetry is never worth that.
-    """
-    try:
-        obs.maybe_enable_mem_profile_from_env()
-    except Exception:
-        pass
-
-
 def _execute(name: str, scale, cache: Optional[ArtifactCache]) -> RunRecord:
     """Run one experiment against a (possibly pooled) world.
 
@@ -451,9 +439,7 @@ def _run_pooled(
     shared_pool: Optional[ProcessPoolExecutor] = None
 
     def make_pool(max_workers: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=max_workers, initializer=_init_worker
-        )
+        return ProcessPoolExecutor(max_workers=max_workers)
 
     def finalize(index: int, record: RunRecord) -> None:
         records[index] = record

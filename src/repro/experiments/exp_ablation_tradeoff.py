@@ -19,15 +19,16 @@ from .report import banner, render_table
 
 __all__ = ["run", "format_result", "series", "PERF_BUDGETS"]
 
-#: Wall-time bands ``repro check`` enforces. The small band holds the
-#: run CI scores (pooled, under ``--profile-mem``), where tracemalloc
-#: slows ablation-tradeoff to 11.0 s on a 2-vCPU host; the paper band is
-#: about three times a cold paper-scale run of ablation-tradeoff alone
-#: (9.2 s). Each band fails a return to one content pass per experiment
-#: (92.4 s and 126.7 s).
+#: Wall-time bands ``repro check`` enforces. The small band is about
+#: three times ablation-tradeoff's slowest plain reading on a 2-vCPU
+#: host, the slowest of five cold pooled runs (2.6 s; 2.0 s in a cold
+#: run alone). Either way it is usually the first content experiment in
+#: its process, so it builds the popular measurement and makes the
+#: content pass itself. The paper band is tighter than that rule would
+#: give: 16.4 s alone and 23.0 s in a cold pooled run at paper scale.
 PERF_BUDGETS = (
-    PerfBudget(key="wall_s", hi=30.0, scales=("small",),
-               note="ablation-tradeoff small-scale wall (CI run)"),
+    PerfBudget(key="wall_s", hi=8.0, scales=("small",),
+               note="ablation-tradeoff small-scale wall"),
     PerfBudget(key="wall_s", hi=27.0, scales=("paper",),
                note="ablation-tradeoff paper-scale wall"),
 )

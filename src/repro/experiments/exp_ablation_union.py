@@ -23,15 +23,17 @@ from .report import banner, render_table
 __all__ = ["UnionAblationResult", "run", "format_result", "series",
            "PERF_BUDGETS"]
 
-#: Wall-time bands ``repro check`` enforces. The small band holds the
-#: run CI scores (pooled, under ``--profile-mem``), where tracemalloc
-#: slows ablation-union to 11.6 s on a 2-vCPU host; the paper band is
-#: about three times a cold paper-scale run of ablation-union alone (9.1
-#: s). Each band fails a return to one content pass per experiment (59.0
-#: s and 61.0 s).
+#: Wall-time bands ``repro check`` enforces. The small band is about
+#: three times ablation-union's slowest plain reading on a 2-vCPU host,
+#: a cold ``repro run ablation-union`` alone (2.8 s; 2.4 s in the
+#: slowest of five cold pooled runs). Either way it is usually the first
+#: content experiment in its process, so it builds the popular
+#: measurement and makes the content pass itself. The paper band is
+#: tighter than that rule would give: 15.6 s alone and 17.9 s in a cold
+#: pooled run at paper scale.
 PERF_BUDGETS = (
-    PerfBudget(key="wall_s", hi=30.0, scales=("small",),
-               note="ablation-union small-scale wall (CI run)"),
+    PerfBudget(key="wall_s", hi=9.0, scales=("small",),
+               note="ablation-union small-scale wall"),
     PerfBudget(key="wall_s", hi=27.0, scales=("paper",),
                note="ablation-union paper-scale wall"),
 )

@@ -45,12 +45,13 @@ PAPER_TARGETS = (
 
 
 #: Cost bands for ``repro check``: the displacement measurement is a
-#: per-router, per-user-day columnar sweep; the bands are loose enough
-#: to catch only order-of-magnitude blow-ups.
+#: per-router, per-user-day columnar sweep. Each wall band is about
+#: three times its slowest plain reading on a 2-vCPU host, a cold run
+#: of fib-size alone (0.2 s small, 1.0 s paper), and never below 1 s.
 PERF_BUDGETS = (
-    PerfBudget(key="wall_s", hi=240.0, scales=("small",),
+    PerfBudget(key="wall_s", hi=1.0, scales=("small",),
                note="fib-size small-scale displacement sweep"),
-    PerfBudget(key="wall_s", hi=900.0, scales=("paper",),
+    PerfBudget(key="wall_s", hi=4.0, scales=("paper",),
                note="fib-size paper-scale displacement sweep"),
     PerfBudget(key="peak_rss_mb", hi=4096.0,
                note="port maps and day columns must stay bounded"),

@@ -27,14 +27,15 @@ from .report import banner, render_cdf_summary, render_table
 __all__ = ["Fig11Result", "run", "format_result", "series",
            "PAPER_TARGETS", "PERF_BUDGETS", "target_values"]
 
-#: Wall-time bands ``repro check`` enforces. The small band holds the
-#: run CI scores (pooled, under ``--profile-mem``), where tracemalloc
-#: slows fig11 to 7.7 s on a 2-vCPU host; the paper band is about three
-#: times a cold paper-scale run of fig11 alone (10.7 s). Each band fails
-#: a return to one content pass per experiment (23.9 s and 31.7 s).
+#: Wall-time bands ``repro check`` enforces. The small band is about
+#: three times fig11's slowest plain reading on a 2-vCPU host, a cold
+#: ``repro run fig11`` alone (2.5 s), which builds the popular
+#: measurement and makes the content pass itself; in a pooled run a
+#: sibling usually has (0.07 s). The paper band is tighter than that
+#: rule would give: fig11 alone takes 15.7 s cold at paper scale.
 PERF_BUDGETS = (
-    PerfBudget(key="wall_s", hi=20.0, scales=("small",),
-               note="fig11 small-scale wall (CI run)"),
+    PerfBudget(key="wall_s", hi=8.0, scales=("small",),
+               note="fig11 small-scale wall"),
     PerfBudget(key="wall_s", hi=30.0, scales=("paper",),
                note="fig11 paper-scale wall"),
 )

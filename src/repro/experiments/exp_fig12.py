@@ -5,15 +5,21 @@ forwarding table over the popular domain set to its LPM-reduced table
 (§3.3.2). Paper: between 2x and 16x across routers — diversely-peered
 routers aggregate the least, single-feed peripheral routers the most.
 The unpopular set aggregates hardly at all (no subdomains).
+
+The complete table holds each name's hour-0 best port, read from the
+World's shared content pass (:class:`~repro.core.ContentCosts`); names
+with no routed hour-0 address get no entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Iterator, Tuple
 
-from ..core import router_aggregateability
+from ..core import aggregateability, lpm_forwarding_table
 from ..engine import Series, register
+from ..measurement import ContentMeasurement
+from ..net import ContentName
 from .context import World
 from .report import banner, render_table
 
@@ -35,6 +41,19 @@ class Fig12Result:
         return max(self.popular.values())
 
 
+def _tables(
+    world: World, measurement: ContentMeasurement
+) -> Iterator[Tuple[str, Dict[ContentName, int], Dict[ContentName, int]]]:
+    """Each router's complete and LPM tables over hour-0 best ports."""
+    names = measurement.names()
+    costs = world.content_evaluator.costs(measurement)
+    for router, ports in costs.hour0_ports.items():
+        complete = {
+            name: port for name, port in zip(names, ports) if port >= 0
+        }
+        yield router, complete, lpm_forwarding_table(complete)
+
+
 @register(
     "fig12",
     description="Fig. 12: FIB aggregateability",
@@ -47,16 +66,11 @@ def run(world: World) -> Fig12Result:
     popular: Dict[str, float] = {}
     sizes: Dict[str, Tuple[int, int]] = {}
     unpopular: Dict[str, float] = {}
-    for router in world.routeviews:
-        ratio, complete, lpm = router_aggregateability(
-            router, world.oracle, world.popular_measurement
-        )
-        popular[router.name] = ratio
-        sizes[router.name] = (len(complete), len(lpm))
-        un_ratio, _, _ = router_aggregateability(
-            router, world.oracle, world.unpopular_measurement
-        )
-        unpopular[router.name] = un_ratio
+    for router, complete, lpm in _tables(world, world.popular_measurement):
+        popular[router] = aggregateability(complete, lpm)
+        sizes[router] = (len(complete), len(lpm))
+    for router, complete, lpm in _tables(world, world.unpopular_measurement):
+        unpopular[router] = aggregateability(complete, lpm)
     return Fig12Result(popular=popular, table_sizes=sizes, unpopular=unpopular)
 
 

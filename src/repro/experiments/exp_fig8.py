@@ -48,16 +48,16 @@ PAPER_TARGETS = (
 )
 
 
-#: Cost bands ``repro check`` enforces like fidelity bands. Generous —
-#: they catch order-of-magnitude regressions (an accidental
-#: de-vectorization, an evaluation materializing all events), not
-#: scheduler noise: the vectorized device pass finishes in seconds at
-#: small scale and well under the 900 s deadline at paper scale.
+#: Cost bands ``repro check`` enforces like fidelity bands: about three
+#: times fig8's slowest plain reading on a 2-vCPU host, and never below
+#: 1 s. The vectorized device pass reads the World the driver builds
+#: before forking, so it takes 0.08 s at small scale and 0.23 s at
+#: paper scale, far under the 900 s deadline.
 PERF_BUDGETS = (
-    PerfBudget(key="wall_s", hi=240.0, scales=("small",),
-               note="fig8 small-scale wall time (typically < 10 s)"),
-    PerfBudget(key="wall_s", hi=900.0, scales=("paper",),
-               note="fig8 paper-scale wall time (the TIMEOUT_S band)"),
+    PerfBudget(key="wall_s", hi=1.0, scales=("small",),
+               note="fig8 small-scale wall time"),
+    PerfBudget(key="wall_s", hi=1.0, scales=("paper",),
+               note="fig8 paper-scale wall time"),
     PerfBudget(key="peak_rss_mb", hi=4096.0,
                note="columnar event tables must stay memory-bounded"),
 )

@@ -9,8 +9,7 @@ Six layers, lowest first:
   picture of a parallel run;
 * :mod:`.resources` — RSS / peak RSS / CPU readings taken at span
   exits and around every experiment (driver and every pooled worker
-  alike), with optional tracemalloc span enrichment under
-  ``run --profile-mem``;
+  alike);
 * :mod:`.history` — the run ledger: every run appends a manifest (git
   SHA, seed, scale, per-experiment status/wall time/series digests/
   peak RSS/CPU, merged metric totals) to
@@ -61,21 +60,11 @@ from .metrics import (
     merge_snapshots,
     metrics,
     reset_metrics,
-    set_span_enricher,
     span,
-    span_enricher,
     using,
 )
 from .progress import ProgressReporter
-from .resources import (
-    PROFILE_MEM_ENV,
-    ResourceSample,
-    annotate,
-    enable_mem_profile,
-    maybe_enable_mem_profile_from_env,
-    mem_profile_enabled,
-    sample_resources,
-)
+from .resources import ResourceSample, annotate, sample_resources
 from .traceviz import chrome_trace, write_chrome_trace
 
 __all__ = [
@@ -88,14 +77,8 @@ __all__ = [
     "gauge",
     "span",
     "merge_snapshots",
-    "set_span_enricher",
-    "span_enricher",
-    "PROFILE_MEM_ENV",
     "ResourceSample",
     "annotate",
-    "enable_mem_profile",
-    "maybe_enable_mem_profile_from_env",
-    "mem_profile_enabled",
     "sample_resources",
     "LEDGER_DIR_ENV",
     "RunLedger",

@@ -49,7 +49,7 @@ import os
 import threading
 from contextlib import contextmanager
 from time import perf_counter, process_time
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from .resources import sample_resources
 
@@ -63,8 +63,6 @@ __all__ = [
     "gauge",
     "span",
     "merge_snapshots",
-    "set_span_enricher",
-    "span_enricher",
 ]
 
 #: One module-wide recording lock shared by every registry: counter and
@@ -161,12 +159,6 @@ class Metrics:
                                  "peak_rss_mb": 0.0, "children": []}
         parent = self._stack[-1] if self._stack else None
         self._stack.append(frame)
-        enricher = _SPAN_ENRICHER
-        if enricher is not None:
-            try:
-                enricher("start", frame, len(self._stack))
-            except Exception:
-                pass  # enrichment is optional telemetry, never fatal
         started = perf_counter()
         cpu_started = process_time()
         frame["start_s"] = started - self._epoch
@@ -183,11 +175,6 @@ class Metrics:
             reading = sample_resources()
             frame["rss_mb"] = round(reading.rss_mb, 3)
             frame["peak_rss_mb"] = round(reading.peak_rss_mb, 3)
-            if enricher is not None:
-                try:
-                    enricher("end", frame, len(self._stack))
-                except Exception:
-                    pass
             self._stack.pop()
             if parent is not None:
                 parent["children"].append(frame)
@@ -256,28 +243,6 @@ class Metrics:
                 else:
                     self.gauges[name] = max(current, value)
         self.spans.extend(_json_copy(snapshot.get("spans", [])))
-
-
-# -- span enrichment ------------------------------------------------------
-
-#: Optional hook invoked as ``enricher(event, frame, depth)`` at span
-#: open (``"start"``) and close (``"end"``) — ``depth`` is 1 for root
-#: spans. :mod:`repro.obs.resources` installs a tracemalloc enricher
-#: here under ``run --profile-mem``. Enricher exceptions are swallowed.
-_SPAN_ENRICHER: Optional[Callable[[str, Dict[str, Any], int], None]] = None
-
-
-def set_span_enricher(
-    enricher: Optional[Callable[[str, Dict[str, Any], int], None]],
-) -> None:
-    """Install (or, with None, remove) the process's span enricher."""
-    global _SPAN_ENRICHER
-    _SPAN_ENRICHER = enricher
-
-
-def span_enricher() -> Optional[Callable[[str, Dict[str, Any], int], None]]:
-    """The currently installed span enricher, if any."""
-    return _SPAN_ENRICHER
 
 
 # -- the process-local current registry ---------------------------------

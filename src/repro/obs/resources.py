@@ -38,40 +38,26 @@ experiment execution in :func:`annotate`, so every
 keys, and a record's ``resources.rss_mb`` is its process's RSS when
 the experiment finished.
 
-``run --profile-mem`` additionally enables a :mod:`tracemalloc` span
-enricher (:func:`enable_mem_profile`): every span frame gains a
-``mem`` dict with the allocation delta and peak over the span, and
-root (experiment-level) spans capture their top allocation sites.
-
 Like every ``repro.obs`` module this imports nothing from the rest of
-``repro``. It imports :mod:`repro.obs.metrics` only inside the
-``--profile-mem`` functions, because that module imports
-:func:`sample_resources` for its span readings.
+``repro``. :mod:`repro.obs.metrics` imports :func:`sample_resources`
+for its span readings, so this module names :class:`Metrics` only for
+type checking.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Optional, Tuple
 
 if TYPE_CHECKING:
     from .metrics import Metrics
 
 __all__ = [
-    "PROFILE_MEM_ENV",
     "ResourceSample",
     "sample_resources",
     "annotate",
-    "enable_mem_profile",
-    "mem_profile_enabled",
-    "maybe_enable_mem_profile_from_env",
 ]
-
-#: Environment flag enabling the tracemalloc span enricher in every
-#: process of a run (the CLI sets it so pooled workers inherit it).
-PROFILE_MEM_ENV = "REPRO_PROFILE_MEM"
 
 _PROC_STATUS = "/proc/self/status"
 
@@ -200,69 +186,3 @@ def annotate(registry: Metrics) -> _AnnotateContext:
     """
     return _AnnotateContext(registry)
 
-
-# -- tracemalloc span enrichment (run --profile-mem) ----------------------
-
-#: Top allocation sites captured per root (experiment-level) span.
-_MEM_TOP_N = 3
-
-
-def mem_profile_enabled() -> bool:
-    """Whether the tracemalloc enricher is active in this process."""
-    from .metrics import span_enricher
-
-    return span_enricher() is _mem_enricher
-
-
-def _mem_enricher(event: str, frame: Dict[str, Any], depth: int) -> None:
-    """Span hook: allocation delta/peak per span, top sites per root."""
-    import tracemalloc
-
-    if not tracemalloc.is_tracing():
-        return
-    if event == "start":
-        current, _peak = tracemalloc.get_traced_memory()
-        frame["mem"] = {"start_kb": round(current / 1024.0, 1)}
-        if depth <= 1:
-            tracemalloc.reset_peak()
-        return
-    mem = frame.get("mem")
-    if not isinstance(mem, dict):
-        return
-    current, peak = tracemalloc.get_traced_memory()
-    start_kb = mem.pop("start_kb", 0.0)
-    mem["alloc_delta_kb"] = round(current / 1024.0 - start_kb, 1)
-    mem["peak_kb"] = round(peak / 1024.0, 1)
-    if depth <= 1:
-        # Top allocation sites are only captured at experiment level:
-        # tracemalloc snapshots are far too expensive for inner spans.
-        stats = tracemalloc.take_snapshot().statistics("lineno")
-        mem["top"] = [
-            [f"{stat.traceback[0].filename}:{stat.traceback[0].lineno}",
-             round(stat.size / 1024.0, 1)]
-            for stat in stats[:_MEM_TOP_N]
-        ]
-
-
-def enable_mem_profile() -> None:
-    """Turn on tracemalloc span enrichment for this process.
-
-    Sets ``REPRO_PROFILE_MEM`` so pooled workers (which inherit the
-    environment) enable it too via
-    :func:`maybe_enable_mem_profile_from_env`.
-    """
-    import tracemalloc
-
-    from .metrics import set_span_enricher
-
-    os.environ[PROFILE_MEM_ENV] = "1"
-    if not tracemalloc.is_tracing():
-        tracemalloc.start()
-    set_span_enricher(_mem_enricher)
-
-
-def maybe_enable_mem_profile_from_env() -> None:
-    """Enable the enricher iff the environment flag is set (workers)."""
-    raw = os.environ.get(PROFILE_MEM_ENV, "").strip().lower()
-    if raw and raw not in ("0", "off", "none", "false"):
-        enable_mem_profile()

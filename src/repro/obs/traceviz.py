@@ -54,10 +54,6 @@ def _span_events(
     for key in _READINGS:
         if key in node:
             args[key] = node[key]
-    if node.get("mem"):
-        # tracemalloc enrichment from run --profile-mem: alloc deltas
-        # and top allocation sites, viewable per-span in Perfetto.
-        args["mem"] = node["mem"]
     events.append({
         "name": node["name"],
         "ph": "X",

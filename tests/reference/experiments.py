@@ -1,15 +1,16 @@
-"""Per-event displacement loops: the device experiments' reference.
+"""Per-event and per-name loops: the world experiments' reference.
 
 policy-sensitivity, fib-size and ablation-multihoming ask the §3.2 and
 §3.3.1 questions of a whole workload through the batch functions in
-:mod:`repro.core`. These are the loops they replaced, written the plain
-way: one event or segment at a time through the scalar public APIs
-(``candidate_routes``, ``InterdomainPortMap.port_for_address``,
-``ContentPortMapper.best_route_for_address`` and
+:mod:`repro.core`, and fig12 reads its hour-0 best ports from the
+content pass. These are the loops they replaced, written the plain
+way: one event, segment or name at a time through the scalar public
+APIs (``candidate_routes``, ``InterdomainPortMap.port_for_address``,
+``ContentPortMapper.best_port``, ``best_route_for_address`` and
 ``update_for_event``). Each function returns what its experiment's
 ``run`` returns for the same ``world``, which needs only ``oracle``,
-``topology``, ``routeviews``, ``device_events`` and
-``workload.user_days``.
+``topology``, ``routeviews``, ``device_events``,
+``workload.user_days`` and the two content measurements.
 """
 
 from __future__ import annotations
@@ -17,10 +18,16 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
-from repro.core import ContentPortMapper, ForwardingStrategy
+from repro.core import (
+    ContentPortMapper,
+    ForwardingStrategy,
+    aggregateability,
+    lpm_forwarding_table,
+)
 from repro.core.displacement import InterdomainPortMap
 from repro.experiments.exp_ablation_multihoming import MultihomingResult
 from repro.experiments.exp_fib_size import FibSizeResult
+from repro.experiments.exp_fig12 import Fig12Result
 from repro.experiments.exp_policy_sensitivity import (
     POLICIES,
     PolicySensitivityResult,
@@ -34,6 +41,8 @@ __all__ = [
     "single_attachment_updates",
     "multihomed_updates",
     "ablation_multihoming",
+    "complete_forwarding_table",
+    "fig12",
 ]
 
 
@@ -198,3 +207,47 @@ def ablation_multihoming(
         events_single=events_single,
         events_multi=events_multi,
     )
+
+
+def complete_forwarding_table(mapper, address_sets) -> Dict[object, int]:
+    """Best-port forwarding entry for every name (the complete table).
+
+    Names whose address set yields no route at this router are omitted
+    — a real router cannot install an entry it has no port for.
+    """
+    table: Dict[object, int] = {}
+    for name in sorted(address_sets):
+        port = mapper.best_port(address_sets[name])
+        if port is not None:
+            table[name] = port
+    return table
+
+
+def router_aggregateability(vantage, oracle, measurement):
+    """One router's ``(ratio, complete, lpm)`` over hour-0 address sets."""
+    mapper = ContentPortMapper(vantage, oracle)
+    address_sets = {
+        name: measurement.timeline(name).set_at(0)
+        for name in measurement.names()
+    }
+    complete = complete_forwarding_table(mapper, address_sets)
+    lpm = lpm_forwarding_table(complete)
+    return aggregateability(complete, lpm), complete, lpm
+
+
+def fig12(world) -> Fig12Result:
+    """Fig. 12: each router's hour-0 table built one name at a time."""
+    popular: Dict[str, float] = {}
+    sizes: Dict[str, Tuple[int, int]] = {}
+    unpopular: Dict[str, float] = {}
+    for router in world.routeviews:
+        ratio, complete, lpm = router_aggregateability(
+            router, world.oracle, world.popular_measurement
+        )
+        popular[router.name] = ratio
+        sizes[router.name] = (len(complete), len(lpm))
+        un_ratio, _, _ = router_aggregateability(
+            router, world.oracle, world.unpopular_measurement
+        )
+        unpopular[router.name] = un_ratio
+    return Fig12Result(popular=popular, table_sizes=sizes, unpopular=unpopular)

@@ -390,8 +390,8 @@ class TestLedgerCli:
 
 
 class TestResourceTelemetryCli:
-    """run --profile-mem/--progress, check budgets, report --perf,
-    and friendly output-path validation."""
+    """run --progress, check budgets, report --perf, and friendly
+    output-path validation."""
 
     @pytest.fixture(autouse=True)
     def no_cache(self, monkeypatch):
@@ -539,29 +539,6 @@ class TestResourceTelemetryCli:
         assert main(["report", "--perf", "--ledger-dir",
                      str(tmp_path)]) == 2
         assert "empty" in capsys.readouterr().err
-
-    # -- satellite: --profile-mem and --progress ------------------------
-
-    def test_profile_mem_annotates_trace_and_cleans_up(self, tmp_path,
-                                                       capsys):
-        import json as jsonlib
-        import tracemalloc
-
-        from repro.obs import resources as res
-
-        trace = tmp_path / "trace.json"
-        assert main(["run", "envelope", "--scale", "small",
-                     "--profile-mem", "--trace-out", str(trace)]) == 0
-        capsys.readouterr()
-        doc = jsonlib.loads(trace.read_text())
-        roots = [e for e in doc["traceEvents"]
-                 if e.get("name") == "experiment.envelope"]
-        assert roots and "mem" in roots[0]["args"]
-        assert "peak_kb" in roots[0]["args"]["mem"]
-        # The flag must not leak into later runs in this process.
-        assert not res.mem_profile_enabled()
-        assert res.PROFILE_MEM_ENV not in os.environ
-        assert not tracemalloc.is_tracing()
 
     def test_progress_renders_status_line(self, tmp_path, capsys):
         assert main(["run", "envelope", "--scale", "small",

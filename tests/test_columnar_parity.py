@@ -8,8 +8,9 @@ strategy APIs produce (``tests/reference/evaluators.py``, ranking
 routes from the dict-BFS reference oracle). The device experiments
 that ask the same questions (policy-sensitivity, fib-size,
 ablation-multihoming) are held to their old per-event loops in
-``tests/reference/experiments.py`` the same way. These tests run both
-and compare everything, including digests.
+``tests/reference/experiments.py`` the same way, and fig12 to its old
+per-name walk. These tests run both and compare everything, including
+digests.
 """
 
 from types import SimpleNamespace
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from repro.content import AddressTimeline
 from repro.core import evaluator as evaluator_module
 from repro.core import (
+    ContentPortMapper,
     ContentUpdateCostEvaluator,
     DeviceUpdateCostEvaluator,
     ForwardingStrategy,
@@ -35,6 +37,7 @@ from repro.experiments import (
     exp_ablation_multihoming,
     exp_fib_size,
     exp_fig8,
+    exp_fig12,
     exp_policy_sensitivity,
 )
 from repro.mobility import DaySegment, MobilityEvent, UserDay
@@ -265,6 +268,14 @@ class TestContentCostsParity:
         assert evaluator.union_table_sizes(meas) == union_table_sizes(
             routers, reference_oracle, meas
         )
+        # Fig. 12's complete tables: each name's hour-0 best port.
+        for router in routers:
+            mapper = ContentPortMapper(router, reference_oracle)
+            ports = [mapper.best_port(meas.timeline(name).set_at(0))
+                     for name in meas.names()]
+            assert evaluator.costs(meas).hour0_ports[router.name] == tuple(
+                -1 if port is None else port for port in ports
+            )
         # Paper-scale measurements span several row batches; two-row
         # batches put every name boundary case through the summing.
         with mock.patch.object(evaluator_module, "_BATCH_ROWS", 2):
@@ -287,6 +298,44 @@ class TestContentCostsParity:
         report = evaluator.evaluate(meas, ForwardingStrategy.BEST_PORT)
         assert report.num_events == 0
         assert set(report.rates.values()) == {0.0}
+
+
+class TestFig12Parity:
+    """fig12's tables from the content pass equal the per-name walk."""
+
+    def test_toy_world(self):
+        routers, oracle, reference_oracle = content_routers()
+        popular = measurement([
+            timeline("a.com", [(0, ["10.6.0.1", "10.7.0.1"]),
+                               (3, ["10.6.0.5"])]),
+            timeline("www.a.com", [(0, ["10.7.0.2"])]),
+            # Unrouted at east at hour 0, routed there from hour 1.
+            timeline("img.a.com", [(0, ["10.6.0.2"]), (1, ["10.7.0.1"])]),
+            timeline("b.com", [(0, ["10.16.0.1", "10.3.0.1"])]),
+            timeline("www.b.com", [(0, ["10.16.0.1"])]),
+            # Unrouted everywhere, and empty at hour 0.
+            timeline("dark.com", [(0, ["192.168.0.1"])]),
+            timeline("late.com", [(0, []), (2, ["10.7.0.1"])]),
+        ])
+        unpopular = content_measurement()
+
+        def world(routing):
+            return SimpleNamespace(
+                routeviews=routers, oracle=routing,
+                popular_measurement=popular,
+                unpopular_measurement=unpopular,
+                content_evaluator=ContentUpdateCostEvaluator(
+                    routers, routing
+                ),
+            )
+
+        vector = exp_fig12.run(world(oracle))
+        assert_same_result(
+            exp_fig12, vector,
+            reference_experiments.fig12(world(reference_oracle)),
+        )
+        # east routes only AS 7's prefix: five names have no entry.
+        assert vector.table_sizes["east"][0] == 2
 
 
 # -- the device experiments against their per-event loops -------------
@@ -512,3 +561,9 @@ class TestSmallScaleExperimentParity:
         fig8 = exp_fig8.run(small_world).report.rates
         assert vector.single == fig8
         assert list(vector.single) == list(fig8)
+
+    def test_fig12(self, small_world):
+        assert_same_result(
+            exp_fig12, exp_fig12.run(small_world),
+            reference_experiments.fig12(small_world),
+        )

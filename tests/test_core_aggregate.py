@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.core import aggregateability, complete_forwarding_table, lpm_forwarding_table
+from repro.core import aggregateability, lpm_forwarding_table
 from repro.net import ContentName
+
+from tests.reference.experiments import complete_forwarding_table
 
 
 def dom(text):

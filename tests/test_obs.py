@@ -390,18 +390,6 @@ class TestTraceViz:
             for key in ("cpu_s", "rss_mb", "peak_rss_mb"):
                 assert event["args"][key] == frame[key]
 
-    def test_mem_annotations_ride_into_event_args(self):
-        # run --profile-mem enriches span frames with a "mem" dict;
-        # the Chrome trace must carry it so Perfetto shows allocations.
-        m = Metrics()
-        with m.span("outer"):
-            pass
-        m.spans[0]["mem"] = {"alloc_delta_kb": 12.5, "peak_kb": 40.0}
-        doc = obs.chrome_trace([_FakeRecord("x", 1.0, m.snapshot())])
-        (span,) = [e for e in doc["traceEvents"] if e["ph"] == "X"]
-        assert span["args"]["mem"]["peak_kb"] == 40.0
-        json.dumps(doc)  # still pure JSON
-
     def test_write_chrome_trace_round_trips(self, tmp_path):
         # Parent directories are created on demand.
         path = str(tmp_path / "deep" / "trace.json")

@@ -221,58 +221,3 @@ class TestProgressReporter:
         reporter.task_started("a")
         reporter.task_finished("a")
         reporter.close()  # must not raise
-
-
-class TestMemProfile:
-    @pytest.fixture(autouse=True)
-    def _clean(self, monkeypatch):
-        import tracemalloc
-
-        monkeypatch.delenv(res.PROFILE_MEM_ENV, raising=False)
-        yield
-        obs.set_span_enricher(None)
-        if tracemalloc.is_tracing():
-            tracemalloc.stop()
-
-    def test_disabled_by_default(self):
-        assert not res.mem_profile_enabled()
-
-    def test_enable_sets_env_and_enricher(self, monkeypatch):
-        import os
-
-        res.enable_mem_profile()
-        assert res.mem_profile_enabled()
-        assert os.environ[res.PROFILE_MEM_ENV] == "1"
-        monkeypatch.delenv(res.PROFILE_MEM_ENV)
-
-    def test_spans_gain_mem_frames(self):
-        res.enable_mem_profile()
-        m = Metrics()
-        with m.span("experiment.alloc"):
-            blob = [bytes(1024) for _ in range(512)]  # ~512 kB
-        del blob
-        mem = m.spans[0]["mem"]
-        assert mem["peak_kb"] > 100
-        assert "alloc_delta_kb" in mem
-        assert mem["top"]  # root spans capture top allocation sites
-        assert all(isinstance(site, list) and len(site) == 2
-                   for site in mem["top"])
-
-    def test_inner_spans_skip_snapshot(self):
-        res.enable_mem_profile()
-        m = Metrics()
-        with m.span("outer"):
-            with m.span("inner"):
-                pass
-        inner = m.spans[0]["children"][0]
-        assert "top" not in inner["mem"]
-
-    def test_env_flag_enables_in_workers(self, monkeypatch):
-        monkeypatch.setenv(res.PROFILE_MEM_ENV, "1")
-        res.maybe_enable_mem_profile_from_env()
-        assert res.mem_profile_enabled()
-
-    def test_env_off_values_ignored(self, monkeypatch):
-        monkeypatch.setenv(res.PROFILE_MEM_ENV, "0")
-        res.maybe_enable_mem_profile_from_env()
-        assert not res.mem_profile_enabled()
