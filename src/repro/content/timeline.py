@@ -5,12 +5,14 @@ time ``t``, merged across all vantage points — is the object the
 paper's content methodology is built on. A *mobility event* is a change
 in that set between consecutive measurement hours.
 
-:class:`AddressTimeline` stores the set as change-points (hour, set),
-which is both compact and makes the events trivially available.
-Builders turn a hosting model into a timeline using one seeded RNG per
-name, honouring vantage *coverage*: addresses served only from regions
-with no vantage point (the paper had no PlanetLab node in Africa) are
-never observed.
+:class:`AddressTimeline` stores the set at its change points as an
+:class:`~repro.workload.AddrsMatrix` — one row per change point over
+the addresses ever observed — which is both compact and the form the
+content evaluators reduce. Builders turn a hosting model into a
+timeline using one seeded RNG per name, honouring vantage *coverage*:
+addresses served only from regions with no vantage point (the paper
+had no PlanetLab node in Africa) are never observed. They replay the
+model over address bitmasks, one bit per distinct address.
 """
 
 from __future__ import annotations
@@ -18,11 +20,15 @@ from __future__ import annotations
 import bisect
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from functools import reduce
+from operator import or_
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..net import ContentName, IPv4Address
 from ..topology import ASTopology, Tier
+from ..workload import AddrsMatrix
 from .hosting import CDNHosting, OriginHosting
 
 __all__ = [
@@ -56,7 +62,12 @@ class ContentMobilityEvent:
 
 
 class AddressTimeline:
-    """``Addrs(d, t)`` for one name over a measurement period."""
+    """``Addrs(d, t)`` for one name over a measurement period.
+
+    Stored as its :class:`~repro.workload.AddrsMatrix`; the object
+    views (:meth:`set_at`, :meth:`events`, :meth:`change_points`,
+    :meth:`union_all`) build their frozensets on demand.
+    """
 
     def __init__(
         self,
@@ -64,60 +75,54 @@ class AddressTimeline:
         total_hours: int,
         changes: Sequence[Tuple[int, FrozenSet[IPv4Address]]],
     ):
-        if total_hours <= 0:
-            raise ValueError("total_hours must be positive")
-        if not changes or changes[0][0] != 0:
-            raise ValueError("timeline must start with a change at hour 0")
-        hours = [h for h, _ in changes]
-        if hours != sorted(hours) or len(set(hours)) != len(hours):
-            raise ValueError("change hours must be strictly increasing")
-        if hours[-1] >= total_hours:
-            raise ValueError("change hour beyond the measurement period")
+        _check_change_hours(total_hours, [h for h, _ in changes])
         self.name = name
         self.total_hours = total_hours
-        self._hours = hours
-        self._sets = [frozenset(s) for _, s in changes]
+        self._matrix = AddrsMatrix.from_changes(name, changes)
+
+    @classmethod
+    def from_matrix(cls, total_hours: int, matrix) -> "AddressTimeline":
+        """The timeline whose change points are ``matrix``'s rows."""
+        _check_change_hours(total_hours, matrix.hours.tolist())
+        timeline = cls.__new__(cls)
+        timeline.name = matrix.name
+        timeline.total_hours = total_hours
+        timeline._matrix = matrix
+        return timeline
 
     def set_at(self, hour: int) -> FrozenSet[IPv4Address]:
         """``Addrs(d, hour)``."""
         if not 0 <= hour < self.total_hours:
             raise ValueError(f"hour {hour} outside 0..{self.total_hours - 1}")
-        index = bisect.bisect_right(self._hours, hour) - 1
-        return self._sets[index]
+        row = bisect.bisect_right(self._matrix.hours.tolist(), hour) - 1
+        return self._matrix.set_at_row(row)
 
     def num_changes(self) -> int:
         """Number of mobility events over the whole period."""
-        return len(self._hours) - 1
+        return self._matrix.num_events
 
     def events(self) -> List[ContentMobilityEvent]:
         """All mobility events, in time order."""
-        out = []
-        for i in range(1, len(self._hours)):
-            out.append(
-                ContentMobilityEvent(
-                    name=self.name,
-                    hour=self._hours[i],
-                    old_addrs=self._sets[i - 1],
-                    new_addrs=self._sets[i],
-                )
+        points = self.change_points()
+        return [
+            ContentMobilityEvent(
+                name=self.name, hour=hour, old_addrs=old, new_addrs=new
             )
-        return out
+            for (_, old), (hour, new) in zip(points, points[1:])
+        ]
 
     def daily_event_counts(self) -> List[int]:
         """Mobility events per day (paper Fig. 11a)."""
         days = max(1, self.total_hours // HOURS_PER_DAY)
         counts = [0] * days
-        for h in self._hours[1:]:
+        for h in self._matrix.hours[1:].tolist():
             day = min(h // HOURS_PER_DAY, days - 1)
             counts[day] += 1
         return counts
 
     def union_all(self) -> FrozenSet[IPv4Address]:
         """Every address ever observed for this name."""
-        out: Set[IPv4Address] = set()
-        for s in self._sets:
-            out |= s
-        return frozenset(out)
+        return frozenset(self._matrix.addrs)
 
     def change_points(self) -> List[Tuple[int, FrozenSet[IPv4Address]]]:
         """All change points as ``(hour, set)`` pairs, in time order.
@@ -125,22 +130,46 @@ class AddressTimeline:
         The first pair is the initial set at hour 0; each subsequent
         pair corresponds to one mobility event.
         """
-        return list(zip(self._hours, self._sets))
+        matrix = self._matrix
+        return [
+            (hour, matrix.set_at_row(row))
+            for row, hour in enumerate(matrix.hours.tolist())
+        ]
 
-    def as_matrix(self):
-        """This timeline as a columnar membership matrix.
+    def as_matrix(self) -> AddrsMatrix:
+        """This timeline as a columnar membership matrix (as stored)."""
+        return self._matrix
 
-        Returns the memoized :class:`repro.workload.AddrsMatrix` over
-        the same change points — the batch form the vectorized content
-        evaluator reduces over. Imported lazily so the timeline module
-        never requires numpy on its own.
-        """
-        matrix = getattr(self, "_matrix", None)
-        if matrix is None:
-            from ..workload import AddrsMatrix
 
-            matrix = self._matrix = AddrsMatrix.from_timeline(self)
-        return matrix
+def _check_change_hours(total_hours: int, hours: List[int]) -> None:
+    """Reject change hours that do not form a timeline's change points."""
+    if total_hours <= 0:
+        raise ValueError("total_hours must be positive")
+    if not hours or hours[0] != 0:
+        raise ValueError("timeline must start with a change at hour 0")
+    if hours != sorted(hours) or len(set(hours)) != len(hours):
+        raise ValueError("change hours must be strictly increasing")
+    if hours[-1] >= total_hours:
+        raise ValueError("change hour beyond the measurement period")
+
+
+class _Columns:
+    """One bitmask column per distinct address, keyed by its int value."""
+
+    def __init__(self) -> None:
+        #: ``addrs[j]`` is the address of column ``j`` (bit ``1 << j``).
+        self.addrs: List[IPv4Address] = []
+        self._bits: Dict[int, int] = {}
+
+    def bits(self, addrs: Sequence[IPv4Address]) -> List[int]:
+        """Each address's column bit; an unseen address gets a column."""
+        values = [addr.value for addr in addrs]
+        known = self._bits
+        for value, addr in zip(values, addrs):
+            if value not in known:
+                known[value] = 1 << len(self.addrs)
+                self.addrs.append(addr)
+        return [known[value] for value in values]
 
 
 def _geometric_next(rng: random.Random, prob: float) -> int:
@@ -163,19 +192,18 @@ def build_origin_timeline(
     topology: Optional[ASTopology] = None,
 ) -> AddressTimeline:
     """Simulate an origin-hosted name: LB rotation + rare relocation."""
-    base = tuple(model.base)
-    window = rng.randrange(len(model.lb_pool)) if model.lb_pool else 0
+    columns = _Columns()
+    base = reduce(or_, columns.bits(model.base), 0)
+    pool = columns.bits(model.lb_pool)
+    window = rng.randrange(len(pool)) if pool else 0
 
-    def active_set() -> FrozenSet[IPv4Address]:
-        if not model.lb_pool or model.lb_active == 0:
-            return frozenset(base)
-        pool = model.lb_pool
-        chosen = {
-            pool[(window + i) % len(pool)] for i in range(model.lb_active)
-        }
-        return frozenset(base) | chosen
+    def active_row() -> int:
+        row = base
+        for i in range(model.lb_active):
+            row |= pool[(window + i) % len(pool)]
+        return row
 
-    changes: List[Tuple[int, FrozenSet[IPv4Address]]] = [(0, active_set())]
+    change_hours, rows = [0], [active_row()]
     for hour in range(1, hours):
         changed = False
         if (
@@ -183,16 +211,19 @@ def build_origin_timeline(
             and topology is not None
             and rng.random() < model.relocation_prob_per_day
         ):
-            base = tuple(_relocate(rng, topology, len(base)))
+            relocated = _relocate(rng, topology, len(model.base))
+            base = reduce(or_, columns.bits(relocated), 0)
             changed = True
-        if model.lb_pool and rng.random() < model.lb_rotation_prob:
-            window = (window + 1) % len(model.lb_pool)
+        if pool and rng.random() < model.lb_rotation_prob:
+            window = (window + 1) % len(pool)
             changed = True
         if changed:
-            new_set = active_set()
-            if new_set != changes[-1][1]:
-                changes.append((hour, new_set))
-    return AddressTimeline(name, hours, changes)
+            row = active_row()
+            if row != rows[-1]:
+                change_hours.append(hour)
+                rows.append(row)
+    matrix = AddrsMatrix.from_rows(name, change_hours, columns.addrs, rows)
+    return AddressTimeline.from_matrix(hours, matrix)
 
 
 def _relocate(
@@ -234,13 +265,14 @@ def build_cdn_timeline(
     active = [i < n_core or rng.random() < 0.5 for i in range(len(clusters))]
 
     # Pre-draw change times per cluster: rotations and (for overflow)
-    # mapping toggles, as geometric gap sequences.
+    # mapping toggles, as geometric gap sequences, grouped by hour.
     per_cluster_rot = model.rotation_prob / max(len(clusters), 1)
-    events: List[Tuple[int, str, int]] = []  # (hour, kind, cluster index)
+    # hour -> [(cluster index, rotation rather than toggle)]
+    moves: Dict[int, List[Tuple[int, bool]]] = defaultdict(list)
     for i in range(len(clusters)):
         h = _geometric_next(rng, per_cluster_rot)
         while h < hours:
-            events.append((h, "rot", i))
+            moves[h].append((i, True))
             h += _geometric_next(rng, per_cluster_rot)
         if i >= n_core:
             toggle_prob = model.remap_prob
@@ -252,36 +284,43 @@ def build_cdn_timeline(
             toggle_prob = 0.0
         h = _geometric_next(rng, toggle_prob)
         while h < hours:
-            events.append((h, "map", i))
+            moves[h].append((i, False))
             h += _geometric_next(rng, toggle_prob)
-    events.sort()
 
-    def current_set() -> FrozenSet[IPv4Address]:
-        out: Set[IPv4Address] = set()
-        for i, cluster in enumerate(clusters):
-            if not active[i] or not visible[i]:
-                continue
-            pool = cluster.pool
-            k = min(model.addrs_per_cluster, len(pool))
-            out |= {pool[(window[i] + j) % len(pool)] for j in range(k)}
-        return frozenset(out)
-
-    changes: List[Tuple[int, FrozenSet[IPv4Address]]] = [(0, current_set())]
-    for hour, kind, i in events:
-        if kind == "rot":
-            window[i] = (window[i] + 1) % len(clusters[i].pool)
+    # spans[i][w]: the bits cluster i serves with its window at w, none
+    # when it is invisible.
+    columns = _Columns()
+    spans = []
+    for i, cluster in enumerate(clusters):
+        if visible[i]:
+            pool = columns.bits(cluster.pool)
         else:
-            active[i] = not active[i]
-        new_set = current_set()
-        if new_set != changes[-1][1] and hour > changes[-1][0]:
-            changes.append((hour, new_set))
-        elif new_set != changes[-1][1]:
-            # Same hour as the previous change: merge, and drop the
-            # entry entirely if the merged set undoes the change.
-            changes[-1] = (changes[-1][0], new_set)
-            if len(changes) >= 2 and changes[-2][1] == new_set:
-                changes.pop()
-    return AddressTimeline(name, hours, changes)
+            pool = [0] * len(cluster.pool)
+        span = pool
+        for j in range(1, min(model.addrs_per_cluster, len(pool))):
+            span = [s | b for s, b in zip(span, pool[j:] + pool[:j])]
+        spans.append(span)
+
+    # Replay an hour's events together: they commute, and the per-event
+    # rule (same-hour changes merge, an undo drops the point) leaves a
+    # change point exactly at each hour whose final set differs from
+    # the last change point's.
+    served = [spans[i][window[i]] if active[i] else 0
+              for i in range(len(clusters))]
+    change_hours, rows = [0], [reduce(or_, served, 0)]
+    for hour in sorted(moves):
+        for i, rotates in moves[hour]:
+            if rotates:
+                window[i] = (window[i] + 1) % len(spans[i])
+            else:
+                active[i] = not active[i]
+            served[i] = spans[i][window[i]] if active[i] else 0
+        row = reduce(or_, served, 0)
+        if row != rows[-1]:
+            change_hours.append(hour)
+            rows.append(row)
+    matrix = AddrsMatrix.from_rows(name, change_hours, columns.addrs, rows)
+    return AddressTimeline.from_matrix(hours, matrix)
 
 
 def build_timeline(

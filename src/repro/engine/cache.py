@@ -70,7 +70,9 @@ __all__ = [
 #: 4: array-native control plane — warm artifacts add the flat-buffer
 #:    array layout (CSR topology, route tables, event columns) that
 #:    warm runs memory-map instead of unpickling.
-GENERATOR_VERSION = 4
+#: 5: content timelines pickle their ``AddrsMatrix`` instead of one
+#:    frozenset per change point.
+GENERATOR_VERSION = 5
 
 #: On-disk entry container version (header format, not payload).
 ENTRY_VERSION = 3

@@ -22,6 +22,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
+from .. import obs
 from ..content import (
     AddressTimeline,
     DomainUniverse,
@@ -146,18 +147,6 @@ class ContentMeasurement:
         """All measured names."""
         return sorted(self.timelines)
 
-    def matrix(self, name: ContentName):
-        """``Addrs(d, t)`` for ``name`` as a columnar membership matrix.
-
-        Delegates to (and shares the memo of)
-        :meth:`repro.content.AddressTimeline.as_matrix`.
-        """
-        return self.timelines[name].as_matrix()
-
-    def matrices(self):
-        """``(name, AddrsMatrix)`` pairs for every name, sorted by name."""
-        return [(name, self.matrix(name)) for name in self.names()]
-
     def daily_event_counts(self) -> Dict[ContentName, float]:
         """Average mobility events per day, per name (Fig. 11a series)."""
         out = {}
@@ -198,15 +187,20 @@ class MeasurementController:
         """Measure the given names for the configured period."""
         coverage = self.fleet.regions()
         timelines: Dict[ContentName, AddressTimeline] = {}
-        for name in names:
-            model = self.directory.model_for(name)
-            timelines[name] = build_timeline(
-                name,
-                model,
-                hours=self.config.hours,
-                rng=self._name_rng(name),
-                coverage=coverage,
-                topology=self.topology,
+        with obs.span("content.timelines"):
+            for name in names:
+                model = self.directory.model_for(name)
+                timelines[name] = build_timeline(
+                    name,
+                    model,
+                    hours=self.config.hours,
+                    rng=self._name_rng(name),
+                    coverage=coverage,
+                    topology=self.topology,
+                )
+            obs.incr(
+                "content.timelines.change_points",
+                sum(tl.num_changes() + 1 for tl in timelines.values()),
             )
         return ContentMeasurement(timelines, self.fleet, self.config)
 

@@ -1,14 +1,13 @@
 """Columnar ``Addrs(d, t)`` — one name's address timeline as a matrix.
 
 The content methodology (§3.3, §7.1) is built on ``Addrs(d, t)``, the
-set of addresses a name resolves to at each measurement hour. The
-object form (:class:`repro.content.AddressTimeline`) stores change
-points as ``(hour, frozenset)`` pairs; this module re-expresses the
-same information as a boolean *membership matrix* over the name's
+set of addresses a name resolves to at each measurement hour. This
+module holds it as a boolean *membership matrix* over the name's
 address universe — rows are change points, columns are the distinct
-addresses ever observed — which is what lets the update-cost
-evaluators reduce a whole timeline per router with a handful of numpy
-operations instead of a per-event Python replay.
+addresses ever observed — which is the form a content timeline
+(:class:`repro.content.AddressTimeline`) stores and what lets the
+update-cost evaluators reduce a whole timeline per router with a
+handful of numpy operations instead of a per-event Python replay.
 """
 
 from __future__ import annotations
@@ -64,6 +63,32 @@ class AddrsMatrix:
             for addr in addr_set:
                 membership[i, index[addr]] = True
         return cls(name, hours, tuple(addrs), membership)
+
+    @classmethod
+    def from_rows(cls, name, hours, addrs, rows) -> "AddrsMatrix":
+        """Build the matrix from bitmask rows over distinct ``addrs``.
+
+        Bit ``j`` of the int ``rows[i]`` says whether ``addrs[j]`` is in
+        the set at change point ``i``. Only the columns some row holds
+        are kept, sorted by address, so the result equals
+        :meth:`from_changes` over the same sets.
+        """
+        width = (len(addrs) + 7) // 8
+        packed = np.frombuffer(
+            b"".join(row.to_bytes(width, "little") for row in rows),
+            dtype=np.uint8,
+        ).reshape(len(rows), width)
+        bits = np.unpackbits(
+            packed, axis=1, count=len(addrs), bitorder="little"
+        ).view(bool)
+        held = np.flatnonzero(bits.any(axis=0))
+        held = held[np.argsort([addrs[j].value for j in held.tolist()])]
+        return cls(
+            name,
+            np.array(hours),
+            tuple(addrs[j] for j in held.tolist()),
+            bits[:, held],
+        )
 
     @classmethod
     def from_timeline(cls, timeline) -> "AddrsMatrix":

@@ -1,8 +1,9 @@
 """Reference implementations the parity tests hold ``src/`` to.
 
 ``src/`` keeps one implementation per hot path: the frontier-batched
-control plane, the vectorized evaluators and the batched convergence
-probes. Their parity oracles live here, written the plain way:
+control plane, the vectorized evaluators, the batched convergence
+probes and the bitmask timeline builders. Their parity oracles live
+here, written the plain way:
 
 :mod:`.routing`
     The per-destination dict-BFS Gao-Rexford oracle, and a duck-typed
@@ -19,6 +20,9 @@ probes. Their parity oracles live here, written the plain way:
     Arrival times from BFS hop distances, and per-source, per-probe
     outage walks over ``ConvergenceSimulator.deliver`` and
     ``deliver_under_faults``.
+:mod:`.content`
+    The CDN and origin timeline builders that rebuilt an address set
+    after every event, returning ``(hour, frozenset)`` change points.
 
 The whole-suite regression oracle is ``tests/golden/digests-small.json``,
 checked by ``tests/test_golden_digests.py``.

@@ -260,6 +260,14 @@ class TestArtifactCache:
         assert cache is not None
         assert cache.root == str(tmp_path / "c")
 
+    def test_suite_cache_is_not_the_users(self):
+        # tests/conftest.py gives the session a cache of its own.
+        cache = ArtifactCache.from_env()
+        assert cache is not None
+        user_cache = os.path.realpath(os.path.expanduser("~/.cache"))
+        root = os.path.realpath(cache.root)
+        assert os.path.commonpath([root, user_cache]) != user_cache
+
 
 class TestWorldCache:
     def test_cold_then_warm_world_artifacts_match(self, tmp_path):

@@ -3,11 +3,13 @@ RouteViews/RIPE routers, and the NomadLog app pipeline."""
 
 import pytest
 
+from repro import obs
 from repro.content import (
     DomainUniverseConfig,
     assign_hosting,
     generate_domain_universe,
 )
+from repro.experiments import ExperimentScale, World
 from repro.measurement import (
     RIPE_SPECS,
     ROUTEVIEWS_SPECS,
@@ -100,6 +102,54 @@ class TestMeasurementController:
         events = list(measurement.all_events())
         assert len(events) == sum(
             measurement.timeline(n).num_changes() for n in measurement.names()
+        )
+
+
+def span_paths(spans, path=()):
+    """Every span's name path from its root, e.g. ``("a", "b")``."""
+    for span in spans:
+        here = path + (span["name"],)
+        yield here
+        yield from span_paths(span["children"], here)
+
+
+def change_points(measurement):
+    return sum(
+        tl.num_changes() + 1 for tl in measurement.timelines.values()
+    )
+
+
+class TestTimelinesSpan:
+    def test_measure_opens_span_and_counts_change_points(self, topo):
+        universe = generate_domain_universe(
+            DomainUniverseConfig(
+                num_popular=10, num_unpopular=5, popular_total_names=100
+            )
+        )
+        controller = MeasurementController(
+            topo, assign_hosting(universe, topo),
+            config=MeasurementConfig(days=2),
+        )
+        with obs.using(obs.Metrics()) as collector:
+            measurement = controller.measure(universe.popular_names())
+        assert list(span_paths(collector.spans)) == [("content.timelines",)]
+        assert collector.counters["content.timelines.change_points"] == (
+            change_points(measurement)
+        )
+
+    def test_span_nests_under_the_world_build(self):
+        world = World(ExperimentScale(
+            "span-test", num_users=10, device_days=1, content_days=1,
+            num_popular_domains=5,
+        ))
+        with obs.using(obs.Metrics()) as collector:
+            measurement = world.popular_measurement
+        assert (
+            "world.measurement", "world.build.measurement",
+            "content.timelines",
+        ) in set(span_paths(collector.spans))
+        assert collector.counters["content.timelines.change_points"] == (
+            change_points(measurement)
         )
 
 

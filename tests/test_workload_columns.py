@@ -173,6 +173,56 @@ class TestAddrsMatrix:
                 np.zeros((2, 1), dtype=bool),
             )
 
+    # from_rows: bitmask rows, bit j standing for addrs[j].
+
+    def assert_rows_equal_changes(self, matrix, points):
+        expected = AddrsMatrix.from_changes("x", points)
+        assert matrix.hours.dtype == expected.hours.dtype
+        assert matrix.hours.tolist() == expected.hours.tolist()
+        assert matrix.addrs == expected.addrs
+        assert matrix.membership.dtype == np.bool_
+        assert np.array_equal(matrix.membership, expected.membership)
+
+    def test_from_rows_without_addresses(self):
+        matrix = AddrsMatrix.from_rows("x", [0, 3], [], [0, 0])
+        assert matrix.addrs == ()
+        assert matrix.membership.shape == (2, 0)
+        self.assert_rows_equal_changes(
+            matrix, [(0, frozenset()), (3, frozenset())]
+        )
+
+    def test_from_rows_column_held_only_in_a_middle_row(self):
+        a, b = parse_address("10.6.0.1"), parse_address("10.7.0.1")
+        matrix = AddrsMatrix.from_rows("x", [0, 4, 9], [a, b], [1, 3, 1])
+        assert matrix.membership.tolist() == [
+            [True, False], [True, True], [True, False],
+        ]
+        self.assert_rows_equal_changes(
+            matrix,
+            [(0, frozenset({a})), (4, frozenset({a, b})), (9, frozenset({a}))],
+        )
+
+    def test_from_rows_sorts_addrs_and_drops_unheld_columns(self):
+        a, b, c, d = (parse_address(f"10.6.0.{i}") for i in range(1, 5))
+        matrix = AddrsMatrix.from_rows(
+            "x", [0, 2], [c, d, a, b], [0b0101, 0b1100]
+        )
+        assert matrix.addrs == (a, b, c)
+        self.assert_rows_equal_changes(
+            matrix, [(0, frozenset({c, a})), (2, frozenset({a, b}))]
+        )
+
+    def test_from_rows_more_than_64_columns(self):
+        addrs = [IPv4Address((10 << 24) | i) for i in range(1, 71)]
+        hours = [0, 1, 5]
+        rows = [1 | 1 << 63, 1 << 64 | 1 << 69, (1 << 70) - 1]
+        matrix = AddrsMatrix.from_rows("x", hours, addrs, rows)
+        assert matrix.num_addrs == 70
+        self.assert_rows_equal_changes(matrix, [
+            (hour, frozenset(a for j, a in enumerate(addrs) if row >> j & 1))
+            for hour, row in zip(hours, rows)
+        ])
+
 
 def test_unique_with_inverse_is_flat():
     uniq, inverse = unique_with_inverse(np.array([3, 1, 3, 2]))
