@@ -2,13 +2,15 @@
 
 Two measurements:
 
-* **cold oracle build** — one frontier-batched sweep over every
-  destination (``routes_to_many``), spot-checked against the dict-BFS
+* **cold oracle build** — the routes to every destination
+  (``routes_to_many``) from a fresh oracle, on the World's topology and
+  on a ~2,100-AS Internet, each spot-checked against the dict-BFS
   reference in ``tests/reference``;
 * **pooled fan-out** — ``run_experiments`` with ``--jobs``-style
   pooling, asserting through the metrics stream that the workers
   inherit the World the parent built before the pool started: no
-  record opens a topology, oracle or CSR build of its own.
+  record opens a topology, oracle, CSR or route-table build of its
+  own.
 
 Times are recorded as ``bench.control_plane.*`` gauges.
 """
@@ -22,31 +24,54 @@ from conftest import run_once
 from repro import obs
 from repro.engine import run_experiments, runner
 from repro.routing import RoutingOracle
+from repro.topology import ASTopologyConfig, generate_as_topology
 
 from tests.reference.routing import assert_same_routes, compute_routes
 
+#: A ~2,100-AS Internet (2,124 ASes at the default seed): the size of
+#: the one the benchmark's device-routing workload routes.
+INTERNET = dict(
+    t2_per_region=12,
+    stubs_per_region=180,
+    prefixes_per_stub=(1, 1),
+    prefixes_per_t2=(2, 3),
+    prefixes_per_t1=(2, 4),
+)
 
-def test_oracle_cold_build(benchmark, world, scale):
-    topo = world.topology
-    dests = sorted(topo.ases)
 
-    def cold_batch():
-        oracle = RoutingOracle(topo)
-        return oracle.routes_to_many(dests)
+def _cold_batch(topo):
+    """A fresh oracle's tables to every AS of ``topo``."""
+    return RoutingOracle(topo).routes_to_many(sorted(topo.ases))
 
-    start = time.perf_counter()
-    batch = run_once(benchmark, cold_batch)
-    vector_s = time.perf_counter() - start
 
-    for dest in dests[:: max(1, len(dests) // 25)]:  # spot-check parity
+def _spot_check(topo, batch):
+    """About 25 destinations of ``batch`` equal the dict-BFS sweep."""
+    dests = batch.dests.tolist()
+    for dest in dests[:: max(1, len(dests) // 25)]:
         assert_same_routes(
             batch.materialize(dest), compute_routes(topo, dest), dest
         )
 
+
+def test_oracle_cold_build(benchmark, world, scale):
+    topo = world.topology
+    start = time.perf_counter()
+    batch = run_once(benchmark, _cold_batch, topo)
+    vector_s = time.perf_counter() - start
+    _spot_check(topo, batch)
+
+    internet = generate_as_topology(ASTopologyConfig(**INTERNET))
+    start = time.perf_counter()
+    internet_batch = _cold_batch(internet)
+    internet_s = time.perf_counter() - start
+    _spot_check(internet, internet_batch)
+
     obs.gauge("bench.control_plane.oracle.vector_s", vector_s)
+    obs.gauge("bench.control_plane.oracle.internet_s", internet_s)
     print(
-        f"cold oracle build [{scale.label}]: {len(dests)} dests, "
-        f"frontier {vector_s:.3f}s, parity ok"
+        f"cold oracle build [{scale.label}]: {len(topo)} dests, "
+        f"frontier {vector_s:.3f}s; Internet {len(internet)} dests, "
+        f"{internet_s:.3f}s; parity ok"
     )
 
 
@@ -82,7 +107,8 @@ def test_pooled_workers_inherit_world(benchmark, scale, monkeypatch):
     ]
     for record in records:
         opened = {
-            "world.topology", "world.oracle", "routing.batch.csr_build"
+            "world.topology", "world.oracle", "routing.batch.csr_build",
+            "routing.batch.compute",
         } & set(_span_names(record.metrics["spans"]))
         assert not opened, (record.name, opened)
     assert "runner.prebuild_failed" not in snap["counters"]

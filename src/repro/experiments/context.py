@@ -179,7 +179,8 @@ class World:
             return
         if self._oracle.table_dirty > 0:
             # The array control plane's tables persist as a flat-buffer
-            # artifact warm runs memory-map — no unpickle on reload.
+            # artifact warm runs memory-map and copy — no unpickle on
+            # reload.
             buffers = self._oracle.export_route_tables()
             if buffers is not None:
                 with obs.span("world.oracle_tables_store"):
@@ -232,7 +233,9 @@ class World:
         return self._oracle
 
     def _adopt_table_artifact(self) -> None:
-        """Memory-map previously persisted array route tables, if any."""
+        """Copy previously persisted array route tables, if any, into
+        the oracle's store; tables that do not fit the topology are
+        refused (``oracle.tables_rejected``) and computed afresh."""
         if self.cache is None:
             return
         loaded = self.cache.load_arrays(
@@ -243,7 +246,8 @@ class World:
         buffers, _meta = loaded
         try:
             self._oracle.import_route_tables(buffers)
-        except Exception:
+        except ValueError:
+            obs.incr("oracle.tables_rejected")
             return
         obs.incr("oracle.tables_mmap")
 

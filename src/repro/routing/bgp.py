@@ -83,8 +83,8 @@ class RoutingOracle:
         #: last :meth:`mark_clean` — i.e. routes a warm-cache snapshot
         #: does not yet hold.
         self._dirty = 0
-        #: Lazily built array control plane (never pickled: its tables
-        #: may be memory-mapped artifacts).
+        #: Lazily built array control plane (never pickled: its route
+        #: tables are a cache the warm artifact refills).
         self._frontier = None
 
     @property
@@ -110,9 +110,9 @@ class RoutingOracle:
         # A pickled oracle *is* the snapshot, so it carries no dirt —
         # rehydrated copies must not re-persist routes they were loaded
         # with. The array control plane is dropped for the same reason
-        # (and because its tables may be mmap views that must not be
-        # serialized): a rehydrated oracle rebuilds or re-imports its
-        # tables, starting clean.
+        # (its tables persist as their own array artifact): a
+        # rehydrated oracle rebuilds or re-imports its tables, starting
+        # clean.
         state = dict(self.__dict__)
         state["_dirty"] = 0
         state["_frontier"] = None
@@ -154,7 +154,9 @@ class RoutingOracle:
         return buffers
 
     def import_route_tables(self, buffers) -> None:
-        """Adopt previously exported array tables (a warm artifact)."""
+        """Copy previously exported array tables (a warm artifact) into
+        the engine's store; raises ValueError for tables that do not
+        fit this topology."""
         self.frontier_engine().import_tables(buffers)
 
     def routes_to(self, dest_asn: int) -> Dict[int, BestPath]:
@@ -167,8 +169,11 @@ class RoutingOracle:
         from .frontier import materialize_routes
 
         engine = self.frontier_engine()
-        ptype, plen, parent, _entry = engine.table_for(dest_asn)
-        result = materialize_routes(engine.csr, ptype, plen, parent)
+        (row,) = engine.rows([dest_asn])
+        result = materialize_routes(
+            engine.csr, engine.ptype[row], engine.plen[row],
+            engine.parent[row],
+        )
         self._cache[dest_asn] = result
         self._dirty += 1
         obs.incr("oracle.demand_computations")
@@ -181,10 +186,11 @@ class RoutingOracle:
         """Best-route tables for many destinations as stacked arrays.
 
         The bulk control-plane API: returns a
-        :class:`~repro.routing.frontier.RouteTableBatch` whose rows the
-        vectorized evaluators and :meth:`VantagePoint.next_hop_table`
-        gather through directly. ``batch.materialize(dest)`` rebuilds
-        the exact per-destination dict :meth:`routes_to` returns.
+        :class:`~repro.routing.frontier.RouteTableBatch`, one row per
+        requested destination in request order, gathered in one step
+        from the frontier engine's store after computing each missing
+        destination once. ``batch.materialize(dest)`` rebuilds the
+        exact per-destination dict :meth:`routes_to` returns.
         """
         return self.frontier_engine().batch(dest_asns)
 

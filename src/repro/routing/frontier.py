@@ -5,10 +5,15 @@ destination at a time, comparing whole path tuples; at paper scale
 that BFS dominated every cold run. This module expresses the same
 propagation as frontier-batched operations over integer arrays: the AS
 graph lives in CSR form (:class:`CSRTopology`), each destination's
-best-route table is three parallel vectors — path type, path length,
-and parent (next AS toward the destination) — and every propagation
-level is one scatter-min instead of a dict loop. The dict sweep
-survives as the parity tests' reference (``tests/reference/routing.py``).
+best-route table is parallel vectors — path type, path length, parent
+(next AS toward the destination) and entry AS — and one sweep
+(:func:`route_arrays`) routes a block of :data:`BLOCK` destinations
+together, expanding the whole block's (destination, AS) frontier per
+BFS level and picking every new parent with one sort-based group-min
+over composite integer keys. :class:`FrontierEngine` keeps the tables
+in one row-indexed store that bulk readers gather from. The dict
+sweep and the one-destination array sweep survive as the parity
+tests' references (``tests/reference/routing.py``).
 
 Bit-identical parity with the dict sweep rests on three provable
 tiebreak reductions:
@@ -17,10 +22,10 @@ tiebreak reductions:
   one BFS level have equal length, so the lexicographic path tiebreak
   compares ``(provider,) + path(child)`` across children — and those
   tuples differ first at the child ASN. The winning parent is simply
-  the minimum child ASN in the frontier: a scatter-min.
+  the minimum child ASN in the frontier: a group-min.
 * **Stage 2 (one peer hop).** An AS without a customer route takes the
   peer minimizing ``(held path length, peer ASN)`` — one composite-key
-  scatter-min.
+  group-min.
 * **Stage 3 (provider routes down customer links).** Unit-weight
   multi-source Dijkstra is level-synchronous BFS on total path length;
   equal-length candidates from distinct parents differ first at the
@@ -68,6 +73,16 @@ CUSTOMER = 1
 PEER = 2
 PROVIDER = 3
 
+#: A route table's four per-destination vectors, by name, and their dtypes.
+VECTORS = {"ptype": np.int8, "plen": np.int32, "parent": np.int32,
+           "entry": np.int32}
+
+#: Destinations one :func:`route_arrays` sweep routes together: enough
+#: to spread numpy's per-call cost over many destinations, few enough
+#: that a sweep's state (about 13 bytes per destination per AS, plus
+#: its frontier expansions) stays a few MB at ~2k ASes.
+BLOCK = 256
+
 #: Preference order of the relationship rule (mirrors ranking._REL_RANK).
 _REL_RANK = {
     Relationship.CUSTOMER: 0,
@@ -76,22 +91,39 @@ _REL_RANK = {
 }
 
 
-def _expand(indptr, indices, rows):
-    """Gather the CSR rows ``rows``: ``(sources, targets)`` edge lists.
+def _expand(indptr, indices, states, n):
+    """Neighbors of flat ``(destination, node)`` states.
 
-    ``sources[i]`` is the row each ``targets[i]`` neighbor came from;
-    rows with no neighbors contribute nothing.
+    State ``row * n + node`` is ``node`` in destination row ``row``.
+    Returns ``(sources, targets)``: one pair per CSR neighbor of each
+    state's node, ``targets[i]`` being that neighbor's state in the
+    same row as ``sources[i]``. States with no neighbors contribute
+    nothing.
     """
-    counts = indptr[rows + 1] - indptr[rows]
+    nodes = states % n
+    counts = indptr[nodes + 1] - indptr[nodes]
     total = int(counts.sum())
     if total == 0:
-        empty = np.empty(0, dtype=indices.dtype)
+        empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    starts = np.repeat(indptr[rows], counts)
-    within = np.arange(total, dtype=indptr.dtype) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    return np.repeat(rows, counts), indices[starts + within]
+    sources = np.repeat(states, counts)
+    offsets = np.repeat(indptr[nodes] - (np.cumsum(counts) - counts), counts)
+    neighbors = indices[offsets + np.arange(total)]
+    return sources, sources - np.repeat(nodes, counts) + neighbors
+
+
+def _group_min(targets, keys, bits):
+    """Each distinct target once, ascending, with its smallest key.
+
+    One sort of the composite ``target << bits | key`` (every key is
+    below ``2 ** bits``) orders the candidates by target, then by key,
+    so the first candidate of each target's run is its winner.
+    """
+    merged = np.sort((targets << bits) | keys)
+    targets = merged >> bits
+    first = np.ones(merged.size, dtype=bool)
+    first[1:] = targets[1:] != targets[:-1]
+    return targets[first], merged[first] & ((1 << bits) - 1)
 
 
 class CSRTopology:
@@ -164,95 +196,93 @@ class CSRTopology:
         return idx.astype(np.int32)
 
 
-def compute_route_arrays(csr: CSRTopology, dest_idx: int):
-    """One destination's best-route table as four parallel vectors.
+def route_arrays(csr: CSRTopology, dest_idx):
+    """Best-route tables for a block of destinations, one row each.
 
-    Returns ``(ptype, plen, parent, entry)``: path-type code, path
-    length in ASNs, the next node toward the destination, and the
-    entry node (the penultimate ASN on the path, -1 at the origin) —
-    everything the evaluators and FIB derivation gather through.
+    Returns ``(ptype, plen, parent, entry)``, each shaped
+    ``(len(dest_idx), csr.n)``: path-type code, path length in ASNs,
+    the next node toward the destination, and the entry node (the
+    penultimate ASN on the path, -1 at the origin) — everything the
+    evaluators and FIB derivation gather through.
+
+    The block's tables are flat ``(destination, node)`` state vectors.
+    Every BFS level expands the whole block's frontier at once, and
+    one :func:`_group_min` picks each newly routed state's parent.
+    Rows never interact: a state's neighbors lie in its own row.
     """
     n = csr.n
-    ptype = np.full(n, UNREACHED, dtype=np.int8)
-    plen = np.zeros(n, dtype=np.int32)
-    parent = np.full(n, -1, dtype=np.int32)
-    ptype[dest_idx] = ORIGIN
-    plen[dest_idx] = 1
+    dest_idx = np.asarray(dest_idx, dtype=np.int64)
+    size = dest_idx.size * n
+    ptype = np.full(size, UNREACHED, dtype=np.int8)
+    plen = np.zeros(size, dtype=np.int32)
+    parent = np.full(size, -1, dtype=np.int32)
+    entry = np.full(size, -1, dtype=np.int32)
+    # Bits of a state, and of a node id or a path length (both <= n).
+    state_bits, node_bits = size.bit_length(), n.bit_length()
+
+    def settle(states, via, code, length):
+        # ``via`` is each state's parent state, in the same row. Every
+        # parent is routed before its children, so the entry node is
+        # the state's own node next to the origin and the parent's
+        # entry node elsewhere.
+        nodes = states % n
+        ptype[states] = code
+        plen[states] = length
+        parent[states] = via - states + nodes
+        entry[states] = np.where(ptype[via] == ORIGIN, nodes, entry[via])
+
+    origins = np.arange(dest_idx.size, dtype=np.int64) * n + dest_idx
+    ptype[origins] = ORIGIN
+    plen[origins] = 1
 
     # Stage 1 — customer routes up provider links, one frontier per
-    # BFS level; the winning parent is the minimum child node id.
-    frontier = np.array([dest_idx], dtype=np.int32)
-    level = 1
+    # BFS level; the winning parent is the minimum child node id
+    # (within a row, the minimum child state).
+    frontier = origins
+    length = 1
     while frontier.size:
-        children, provs = _expand(csr.prov_indptr, csr.prov_indices, frontier)
-        fresh = ptype[provs] < 0
-        children, provs = children[fresh], provs[fresh]
-        if children.size == 0:
+        sources, targets = _expand(csr.prov_indptr, csr.prov_indices,
+                                   frontier, n)
+        fresh = ptype[targets] == UNREACHED
+        if not fresh.any():
             break
-        best = np.full(n, n, dtype=np.int64)
-        np.minimum.at(best, provs, children.astype(np.int64))
-        newly = np.unique(provs)
-        level += 1
-        ptype[newly] = CUSTOMER
-        plen[newly] = level
-        parent[newly] = best[newly].astype(np.int32)
-        frontier = newly.astype(np.int32)
+        length += 1
+        frontier, via = _group_min(targets[fresh], sources[fresh],
+                                   state_bits)
+        settle(frontier, via, CUSTOMER, length)
 
     # Stage 2 — one peering hop off any origin/customer-route holder;
-    # composite (held length, peer id) scatter-min.
-    unreached = np.nonzero(ptype < 0)[0].astype(np.int32)
-    if unreached.size:
-        srcs, peers = _expand(csr.peer_indptr, csr.peer_indices, unreached)
-        held = (ptype[peers] >= 0) & (ptype[peers] <= CUSTOMER)
-        srcs, peers = srcs[held], peers[held]
-        if srcs.size:
-            big = np.int64(n + 2) * np.int64(n + 2)
-            key = plen[peers].astype(np.int64) * (n + 2) + peers
-            best = np.full(n, big, dtype=np.int64)
-            np.minimum.at(best, srcs, key)
-            got = unreached[best[unreached] < big]
-            ptype[got] = PEER
-            parent[got] = (best[got] % (n + 2)).astype(np.int32)
-            plen[got] = (best[got] // (n + 2) + 1).astype(np.int32)
+    # composite (held length, peer id) minimum. Peering is symmetric
+    # (``add_peering`` records both ends), so expanding the holders'
+    # peers finds every (unreached AS, holding peer) candidate.
+    holders = np.nonzero(ptype != UNREACHED)[0]
+    sources, targets = _expand(csr.peer_indptr, csr.peer_indices, holders, n)
+    fresh = ptype[targets] == UNREACHED
+    if fresh.any():
+        sources = sources[fresh]
+        keys = (plen[sources].astype(np.int64) << node_bits) | sources % n
+        won, keys = _group_min(targets[fresh], keys, 2 * node_bits)
+        via = won - won % n + (keys & ((1 << node_bits) - 1))
+        settle(won, via, PEER, (keys >> node_bits) + 1)
 
     # Stage 3 — provider routes down customer links: level-synchronous
     # BFS on total path length (multi-source Dijkstra, unit weights);
     # the winning parent at a level is the minimum parent node id.
-    reached = ptype >= 0
-    if not reached.all() and reached.any():
-        max_len = int(plen[reached].max())
-        length = 1
-        while length <= max_len:
-            frontier = np.nonzero((ptype >= 0) & (plen == length))[0]
-            if frontier.size:
-                parents, custs = _expand(
-                    csr.cust_indptr, csr.cust_indices,
-                    frontier.astype(np.int32),
-                )
-                fresh = ptype[custs] < 0
-                parents, custs = parents[fresh], custs[fresh]
-                if custs.size:
-                    best = np.full(n, n, dtype=np.int64)
-                    np.minimum.at(best, custs, parents.astype(np.int64))
-                    newly = np.unique(custs)
-                    ptype[newly] = PROVIDER
-                    plen[newly] = length + 1
-                    parent[newly] = best[newly].astype(np.int32)
-                    max_len = max(max_len, length + 1)
-            length += 1
+    length, max_len = 1, int(plen.max())
+    while length <= max_len:
+        frontier = np.nonzero(plen == length)[0]
+        sources, targets = _expand(csr.cust_indptr, csr.cust_indices,
+                                   frontier, n)
+        fresh = ptype[targets] == UNREACHED
+        if fresh.any():
+            won, via = _group_min(targets[fresh], sources[fresh], state_bits)
+            settle(won, via, PROVIDER, length + 1)
+            max_len = max(max_len, length + 1)
+        length += 1
 
-    # Entry nodes: parent path length is always plen-1, so one pass in
-    # ascending length order resolves every chain.
-    entry = np.full(n, -1, dtype=np.int32)
-    routed = ptype >= 0
-    if routed.any():
-        for length in range(2, int(plen[routed].max()) + 1):
-            idxs = np.nonzero(routed & (plen == length))[0]
-            if idxs.size:
-                entry[idxs] = np.where(
-                    parent[idxs] == dest_idx, idxs, entry[parent[idxs]]
-                ).astype(np.int32)
-    return ptype, plen, parent, entry
+    shape = (dest_idx.size, n)
+    return (ptype.reshape(shape), plen.reshape(shape),
+            parent.reshape(shape), entry.reshape(shape))
 
 
 class RouteTableBatch:
@@ -260,7 +290,7 @@ class RouteTableBatch:
 
     Row ``d`` holds destination ``dests[d]``'s table over all ASes in
     node-index (= ascending ASN) order: ``ptype``/``plen``/``parent``/
-    ``entry`` exactly as :func:`compute_route_arrays` lays them out.
+    ``entry`` exactly as :func:`route_arrays` lays them out.
     """
 
     def __init__(self, csr: CSRTopology, dests, ptype, plen, parent, entry):
@@ -333,88 +363,126 @@ def materialize_routes(csr: CSRTopology, ptype, plen, parent):
 
 
 class FrontierEngine:
-    """Per-topology array-route state: CSR encoding + table cache.
+    """Per-topology array-route state: CSR encoding + route-table store.
 
     One engine hangs off each :class:`~repro.routing.bgp.RoutingOracle`
-    (outside its pickled state — tables are cheap to recompute and may
-    be memory-mapped views). ``dirty`` counts tables
-    computed since the last :meth:`export_tables`/:meth:`import_tables`,
-    mirroring the oracle's dict-cache dirtiness.
+    (outside its pickled state: the tables are a cache the warm
+    artifact refills). The store keeps one row per destination
+    computed or imported, in arrival order: the first
+    :attr:`table_cache_size` rows of ``ptype``, ``plen``, ``parent``
+    and ``entry`` are live, and :meth:`rows` finds a destination's row.
+    Capacity at least doubles when it runs out, up to one row per AS,
+    so memory follows the destinations computed. ``dirty`` counts
+    tables computed since the last :meth:`export_tables`, mirroring
+    the oracle's dict-cache dirtiness.
     """
 
     def __init__(self, topology: ASTopology):
         with obs.span("routing.batch.csr_build"):
             self.csr = CSRTopology.from_topology(topology)
-        self._tables: Dict[int, Tuple] = {}
+        n = self.csr.n
+        #: Store row of each node's table, -1 until it is stored.
+        self._row = np.full(n, -1, dtype=np.int64)
+        self._count = 0
+        for name, dtype in VECTORS.items():
+            setattr(self, name, np.empty((0, n), dtype=dtype))
         self.dirty = 0
 
     @property
     def table_cache_size(self) -> int:
-        return len(self._tables)
+        return self._count
 
-    def table_for(self, dest_asn: int) -> Tuple:
-        """``(ptype, plen, parent, entry)`` for one destination."""
-        cached = self._tables.get(dest_asn)
-        if cached is not None:
-            return cached
-        table = compute_route_arrays(self.csr, self.csr.index_of(dest_asn))
-        self._tables[dest_asn] = table
-        self.dirty += 1
-        return table
+    def _reserve(self, extra: int) -> None:
+        """Room for ``extra`` more rows."""
+        capacity = len(self.ptype)
+        if self._count + extra <= capacity:
+            return
+        capacity = min(max(self._count + extra, 2 * capacity), self.csr.n)
+        for name in VECTORS:
+            old = getattr(self, name)
+            grown = np.empty((capacity, self.csr.n), dtype=old.dtype)
+            grown[: self._count] = old[: self._count]
+            setattr(self, name, grown)
+
+    def _append(self, nodes: "np.ndarray", tables) -> None:
+        """Store ``tables`` (one row per node of ``nodes``) after the
+        live rows; the caller has reserved room."""
+        stop = self._count + len(nodes)
+        for name, table in zip(VECTORS, tables):
+            getattr(self, name)[self._count:stop] = table
+        self._row[nodes] = np.arange(self._count, stop)
+        self._count = stop
+
+    def rows(self, dest_asns) -> "np.ndarray":
+        """Store rows of ``dest_asns``, computing each missing table once.
+
+        Missing destinations are swept :data:`BLOCK` at a time under
+        the ``routing.batch.compute`` span; raises KeyError for an
+        unknown AS.
+        """
+        nodes = self.csr.indices_of(dest_asns)
+        missing = np.unique(nodes[self._row[nodes] < 0])
+        if missing.size:
+            with obs.span("routing.batch.compute"):
+                self._reserve(missing.size)
+                for start in range(0, missing.size, BLOCK):
+                    block = missing[start:start + BLOCK]
+                    self._append(block, route_arrays(self.csr, block))
+            obs.incr("routing.batch.dests", int(missing.size))
+            self.dirty += int(missing.size)
+        return self._row[nodes]
 
     def batch(self, dests: Iterable[int]) -> RouteTableBatch:
-        """Stacked tables for ``dests`` (computing any missing ones)."""
-        dests = [int(d) for d in dests]
-        missing = [d for d in dests if d not in self._tables]
-        if missing:
-            with obs.span("routing.batch.compute"):
-                for d in missing:
-                    self.table_for(d)
-            obs.incr("routing.batch.dests", len(missing))
-        rows = [self._tables[d] for d in dests]
+        """The tables of ``dests``, in request order, gathered from the
+        store (computing any missing ones)."""
+        dests = np.array([int(d) for d in dests], dtype=np.int64)
+        rows = self.rows(dests)
         return RouteTableBatch(
-            self.csr,
-            np.array(dests, dtype=np.int64),
-            np.stack([r[0] for r in rows]) if rows else np.empty(
-                (0, self.csr.n), dtype=np.int8),
-            np.stack([r[1] for r in rows]) if rows else np.empty(
-                (0, self.csr.n), dtype=np.int32),
-            np.stack([r[2] for r in rows]) if rows else np.empty(
-                (0, self.csr.n), dtype=np.int32),
-            np.stack([r[3] for r in rows]) if rows else np.empty(
-                (0, self.csr.n), dtype=np.int32),
+            self.csr, dests, *(getattr(self, name)[rows] for name in VECTORS)
         )
 
     # -- flat-buffer round trip (warm artifacts) ------------------------
 
     def export_tables(self) -> Optional[Dict[str, "np.ndarray"]]:
-        """Every cached table as flat stacked buffers (None if empty)."""
-        if not self._tables:
+        """Every stored table as flat stacked buffers, destinations
+        ascending (None if the store is empty)."""
+        if not self._count:
             return None
-        dests = sorted(self._tables)
-        rows = [self._tables[d] for d in dests]
-        return {
-            "dests": np.array(dests, dtype=np.int64),
-            "ptype": np.stack([r[0] for r in rows]),
-            "plen": np.stack([r[1] for r in rows]),
-            "parent": np.stack([r[2] for r in rows]),
-            "entry": np.stack([r[3] for r in rows]),
-        }
+        nodes = np.nonzero(self._row >= 0)[0]
+        rows = self._row[nodes]
+        return {"dests": self.csr.asns[nodes],
+                **{name: getattr(self, name)[rows] for name in VECTORS}}
 
     def import_tables(self, buffers: Dict[str, "np.ndarray"]) -> None:
-        """Adopt previously exported tables (views are kept as-is)."""
-        dests = buffers["dests"]
-        ptype, plen = buffers["ptype"], buffers["plen"]
-        parent, entry = buffers["parent"], buffers["entry"]
-        if ptype.shape != (len(dests), self.csr.n):
-            raise ValueError(
-                f"route-table shape {ptype.shape} does not match "
-                f"{len(dests)} destinations over {self.csr.n} ASes"
-            )
-        for d in range(len(dests)):
-            self._tables.setdefault(
-                int(dests[d]), (ptype[d], plen[d], parent[d], entry[d])
-            )
+        """Copy previously exported tables into the store.
+
+        Destinations already stored keep their rows. Raises ValueError,
+        before storing anything, unless ``buffers`` holds ascending,
+        known destinations with one table of the right type and length
+        each.
+        """
+        missing = {"dests", *VECTORS} - set(buffers)
+        if missing:
+            raise ValueError(f"route tables lack {sorted(missing)}")
+        dests = np.asarray(buffers["dests"])
+        shape = (len(dests), self.csr.n)
+        for name in VECTORS:
+            table = buffers[name]
+            if table.shape != shape or table.dtype != VECTORS[name]:
+                raise ValueError(
+                    f"route-table {name} is {table.dtype}{table.shape}, not "
+                    f"{np.dtype(VECTORS[name])}{shape}: {len(dests)} "
+                    f"destinations over {self.csr.n} ASes"
+                )
+        if (np.diff(dests) <= 0).any():
+            raise ValueError("route-table destinations are not ascending")
+        try:
+            nodes = self.csr.indices_of(dests)
+        except KeyError as exc:
+            raise ValueError(f"route tables name an {exc.args[0]}") from None
+        fresh = np.nonzero(self._row[nodes] < 0)[0]
+        self._reserve(fresh.size)
+        self._append(nodes[fresh], [buffers[name][fresh] for name in VECTORS])
 
 
 # -- vectorized MED (table-driven CRC-32) -------------------------------
@@ -519,17 +587,19 @@ def next_hop_table_batch(vantage, oracle, prefixes) -> "np.ndarray":
 
     uniq_origins, origin_row = np.unique(origins[routable],
                                          return_inverse=True)
-    batch = oracle.routes_to_many(uniq_origins.tolist())
-    csr = batch.csr
+    engine = oracle.frontier_engine()
+    csr = engine.csr
     nbr_asns, rel_ranks, is_provider = rank_vectors(vantage)
     nbr_idx = csr.indices_of(nbr_asns)
     k = len(nbr_asns)
 
-    # Per (prefix, neighbor) candidate state, gathered through the
-    # unique-origin batch rows.
-    ptype = batch.ptype[:, nbr_idx][origin_row]
-    plen = batch.plen[:, nbr_idx][origin_row].astype(np.int64)
-    entry = batch.entry[:, nbr_idx][origin_row]
+    # Per (prefix, neighbor) candidate state, gathered straight from
+    # the engine's store: row of the prefix's origin, column of the
+    # neighbor.
+    grid = np.ix_(engine.rows(uniq_origins)[origin_row], nbr_idx)
+    ptype = engine.ptype[grid]
+    plen = engine.plen[grid].astype(np.int64)
+    entry = engine.entry[grid]
     valid = (ptype >= 0) & (is_provider[None, :] | (ptype <= CUSTOMER))
 
     med = synthetic_med_batch(

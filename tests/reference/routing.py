@@ -1,9 +1,12 @@
-"""The per-destination dict-BFS Gao-Rexford oracle.
+"""The per-destination Gao-Rexford sweeps :mod:`repro.routing.frontier`
+batches.
 
-The textbook form of the three-stage valley-free sweep that
-:mod:`repro.routing.frontier` batches over CSR arrays: one destination
-at a time, over Python dicts, with whole path tuples compared
-lexicographically.
+Two references: the textbook three-stage valley-free sweep, one
+destination at a time over Python dicts with whole path tuples
+compared lexicographically (:func:`compute_routes`), and the
+one-destination array sweep over the CSR encoding
+(:func:`compute_route_arrays`), whose four vectors the block sweep
+must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -14,9 +17,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.routing.bgp import BestPath, PathType
+from repro.routing.frontier import CUSTOMER, ORIGIN, PEER, PROVIDER, UNREACHED
 
 __all__ = [
     "compute_routes",
+    "compute_route_arrays",
     "ReferenceOracle",
     "next_hop_table",
     "assert_same_routes",
@@ -100,6 +105,113 @@ def compute_routes(topo, dest: int) -> Dict[int, BestPath]:
             cand = (customer,) + path
             heapq.heappush(heap, (len(cand), cand, customer))
     return info
+
+
+def _expand(indptr, indices, rows):
+    """Gather the CSR rows ``rows``: ``(sources, targets)`` edge lists.
+
+    ``sources[i]`` is the row each ``targets[i]`` neighbor came from;
+    rows with no neighbors contribute nothing.
+    """
+    counts = indptr[rows + 1] - indptr[rows]
+    total = int(counts.sum())
+    if total == 0:
+        empty = np.empty(0, dtype=indices.dtype)
+        return empty, empty
+    starts = np.repeat(indptr[rows], counts)
+    within = np.arange(total, dtype=indptr.dtype) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+    return np.repeat(rows, counts), indices[starts + within]
+
+
+def compute_route_arrays(csr, dest_idx: int):
+    """One destination's best-route table as four parallel vectors.
+
+    Returns ``(ptype, plen, parent, entry)`` over ``csr``'s nodes, each
+    level of each stage one ``np.minimum.at`` scatter-min.
+    """
+    n = csr.n
+    ptype = np.full(n, UNREACHED, dtype=np.int8)
+    plen = np.zeros(n, dtype=np.int32)
+    parent = np.full(n, -1, dtype=np.int32)
+    ptype[dest_idx] = ORIGIN
+    plen[dest_idx] = 1
+
+    # Stage 1 — customer routes up provider links, one frontier per
+    # BFS level; the winning parent is the minimum child node id.
+    frontier = np.array([dest_idx], dtype=np.int32)
+    level = 1
+    while frontier.size:
+        children, provs = _expand(csr.prov_indptr, csr.prov_indices, frontier)
+        fresh = ptype[provs] < 0
+        children, provs = children[fresh], provs[fresh]
+        if children.size == 0:
+            break
+        best = np.full(n, n, dtype=np.int64)
+        np.minimum.at(best, provs, children.astype(np.int64))
+        newly = np.unique(provs)
+        level += 1
+        ptype[newly] = CUSTOMER
+        plen[newly] = level
+        parent[newly] = best[newly].astype(np.int32)
+        frontier = newly.astype(np.int32)
+
+    # Stage 2 — one peering hop off any origin/customer-route holder;
+    # composite (held length, peer id) scatter-min.
+    unreached = np.nonzero(ptype < 0)[0].astype(np.int32)
+    if unreached.size:
+        srcs, peers = _expand(csr.peer_indptr, csr.peer_indices, unreached)
+        held = (ptype[peers] >= 0) & (ptype[peers] <= CUSTOMER)
+        srcs, peers = srcs[held], peers[held]
+        if srcs.size:
+            big = np.int64(n + 2) * np.int64(n + 2)
+            key = plen[peers].astype(np.int64) * (n + 2) + peers
+            best = np.full(n, big, dtype=np.int64)
+            np.minimum.at(best, srcs, key)
+            got = unreached[best[unreached] < big]
+            ptype[got] = PEER
+            parent[got] = (best[got] % (n + 2)).astype(np.int32)
+            plen[got] = (best[got] // (n + 2) + 1).astype(np.int32)
+
+    # Stage 3 — provider routes down customer links: level-synchronous
+    # BFS on total path length; the winning parent at a level is the
+    # minimum parent node id.
+    reached = ptype >= 0
+    if not reached.all() and reached.any():
+        max_len = int(plen[reached].max())
+        length = 1
+        while length <= max_len:
+            frontier = np.nonzero((ptype >= 0) & (plen == length))[0]
+            if frontier.size:
+                parents, custs = _expand(
+                    csr.cust_indptr, csr.cust_indices,
+                    frontier.astype(np.int32),
+                )
+                fresh = ptype[custs] < 0
+                parents, custs = parents[fresh], custs[fresh]
+                if custs.size:
+                    best = np.full(n, n, dtype=np.int64)
+                    np.minimum.at(best, custs, parents.astype(np.int64))
+                    newly = np.unique(custs)
+                    ptype[newly] = PROVIDER
+                    plen[newly] = length + 1
+                    parent[newly] = best[newly].astype(np.int32)
+                    max_len = max(max_len, length + 1)
+            length += 1
+
+    # Entry nodes: parent path length is always plen-1, so one pass in
+    # ascending length order resolves every chain.
+    entry = np.full(n, -1, dtype=np.int32)
+    routed = ptype >= 0
+    if routed.any():
+        for length in range(2, int(plen[routed].max()) + 1):
+            idxs = np.nonzero(routed & (plen == length))[0]
+            if idxs.size:
+                entry[idxs] = np.where(
+                    parent[idxs] == dest_idx, idxs, entry[parent[idxs]]
+                ).astype(np.int32)
+    return ptype, plen, parent, entry
 
 
 class ReferenceOracle:

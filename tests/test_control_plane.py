@@ -5,7 +5,9 @@ Three parity obligations pinned here:
 * the frontier-batched oracle (:meth:`RoutingOracle.routes_to_many`
   and :meth:`RoutingOracle.routes_to`) must equal the per-destination
   dict-BFS reference on arbitrary valley-free internets, including
-  multihomed stubs;
+  multihomed stubs, and its block sweep must reproduce the
+  one-destination array sweep's four vectors bit for bit, computing
+  each destination's table once whatever order requests come in;
 * the vectorized FIB derivation (``VantagePoint.next_hop_table``) must
   equal the per-prefix ``fib_best`` ranking over the reference oracle,
   including under selective announcement;
@@ -14,28 +16,34 @@ Three parity obligations pinned here:
   hop distances and to per-source, per-probe delivery walks.
 
 Plus the serialization contracts the warm artifacts lean on:
-a pickled oracle drops its frontier engine and dirty count, and an
-array artifact written by a different GENERATOR_VERSION is a counted
-cache miss, never a crash.
+a pickled oracle drops its frontier engine and dirty count, an array
+artifact written by a different GENERATOR_VERSION is a counted cache
+miss, and route tables that do not fit the topology are refused —
+never a crash.
 """
 
 import pickle
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.faults import LINK, ROUTER, FaultEvent, FaultSchedule
 from repro.faults.models import MessageLossModel
 from repro.forwarding import ConvergenceSimulator
 from repro.net import IPv4Prefix
-from repro.routing import RoutingOracle, VantagePoint
+from repro.engine import ArtifactCache
+from repro.experiments import SMALL_SCALE, World
+from repro.routing import RoutingOracle, VantagePoint, frontier
 from repro.topology import (
     binary_tree_topology,
     chain_topology,
     clique_topology,
+    generate_as_topology,
     star_topology,
 )
 
@@ -43,6 +51,7 @@ from .reference import convergence as reference_convergence
 from .reference.routing import (
     ReferenceOracle,
     assert_same_routes,
+    compute_route_arrays,
     compute_routes,
     next_hop_table,
 )
@@ -70,6 +79,70 @@ class TestRoutesToManyParity:
             assert_same_routes(
                 oracle.routes_to(dest), compute_routes(topo, dest), dest
             )
+
+
+def _assert_same_tables(batch, csr):
+    """Every row of ``batch`` equals the one-destination array sweep,
+    on all four vectors and their dtypes."""
+    for d, dest in enumerate(batch.dests.tolist()):
+        expected = compute_route_arrays(csr, csr.index_of(dest))
+        for name, want in zip(frontier.VECTORS, expected):
+            got = getattr(batch, name)[d]
+            assert got.dtype == want.dtype, (dest, name)
+            assert np.array_equal(got, want), (dest, name)
+
+
+class TestBlockSweepParity:
+    """The block sweep against the one-destination array reference.
+
+    Breaking a tiebreak changes parents and entry nodes: keeping the
+    last candidate of each group-min run fails both tests, and putting
+    the peer id before the held length in stage 2's composite key fails
+    the World-topology one. Sweeping a destination requested twice in
+    one call moves the ``routing.batch.dests`` count.
+    """
+
+    def test_every_destination_of_the_world_topology(self):
+        # 397 ASes: the all-destination request spans two blocks.
+        topo = generate_as_topology()
+        assert len(topo) > frontier.BLOCK
+        oracle = RoutingOracle(topo)
+        metrics = obs.Metrics()
+        with obs.using(metrics):
+            batch = oracle.routes_to_many(sorted(topo.ases))
+        _assert_same_tables(batch, oracle.frontier_engine().csr)
+        assert metrics.counters["routing.batch.dests"] == len(topo)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_requests_in_any_order(self, data):
+        topo = data.draw(random_internet())
+        asns = sorted(topo.ases)
+        requests = data.draw(st.lists(
+            st.tuples(st.booleans(),
+                      st.lists(st.sampled_from(asns), min_size=1,
+                               max_size=2 * len(asns))),
+            min_size=1, max_size=5,
+        ))
+        # Small blocks so one request spans several sweeps.
+        block = data.draw(st.integers(min_value=1, max_value=4))
+        oracle = RoutingOracle(topo)
+        csr = oracle.frontier_engine().csr
+        metrics = obs.Metrics()
+        with mock.patch.object(frontier, "BLOCK", block), \
+                obs.using(metrics):
+            for many, dests in requests:
+                if many:
+                    batch = oracle.routes_to_many(dests)
+                    assert batch.dests.tolist() == dests
+                    _assert_same_tables(batch, csr)
+                else:
+                    for dest in dests:
+                        assert_same_routes(oracle.routes_to(dest),
+                                           compute_routes(topo, dest), dest)
+        distinct = {dest for _many, dests in requests for dest in dests}
+        assert metrics.counters["routing.batch.dests"] == len(distinct)
+        assert oracle.frontier_engine().table_cache_size == len(distinct)
 
 
 def _attach_prefixes(topo):
@@ -239,3 +312,29 @@ class TestArrayArtifactVersioning:
         assert (
             metrics.snapshot()["counters"]["cache.version_mismatch"] == 1
         )
+
+    @pytest.mark.parametrize("doctor", ["unknown-as", "repeated-dest"])
+    def test_tables_that_do_not_fit_are_refused(self, tmp_path, doctor):
+        cache = ArtifactCache(str(tmp_path))
+        world = World(SMALL_SCALE, cache=cache)
+        asns = sorted(world.topology.ases)
+        world.oracle.routes_to_many(asns[:3])
+        world.save_warm_artifacts()
+        key = cache.key("oracle-tables", **World._topology_params())
+        buffers, _meta = cache.load_arrays(key)
+        doctored = {name: np.array(buf) for name, buf in buffers.items()}
+        doctored["dests"][-1] = (asns[-1] + 1 if doctor == "unknown-as"
+                                 else doctored["dests"][0])
+        cache.store_arrays(key, doctored)
+
+        with pytest.raises(ValueError):
+            RoutingOracle(world.topology).import_route_tables(doctored)
+        metrics = obs.Metrics()
+        with obs.using(metrics):
+            oracle = World(SMALL_SCALE, cache=cache).oracle
+            assert oracle.frontier_engine().table_cache_size == 0
+            assert_same_routes(oracle.routes_to(asns[0]),
+                               compute_routes(world.topology, asns[0]),
+                               asns[0])
+        assert metrics.counters["oracle.tables_rejected"] == 1
+        assert "oracle.tables_mmap" not in metrics.counters

@@ -56,8 +56,11 @@ fork_only = pytest.mark.skipif(
 )
 
 
-#: Spans a worker opens only when it builds its own substrate.
-SUBSTRATE_SPANS = {"world.topology", "world.oracle", "routing.batch.csr_build"}
+#: Spans a worker opens only when it builds its own substrate: every
+#: route-table computation opens ``routing.batch.compute``, and the
+#: prebuilt World already holds the tables to every AS.
+SUBSTRATE_SPANS = {"world.topology", "world.oracle", "routing.batch.csr_build",
+                   "routing.batch.compute"}
 
 
 def _span_names(spans):
@@ -526,7 +529,8 @@ class TestInheritedWorld:
     @fork_only
     def test_pooled_workers_inherit_the_device_substrate(self, monkeypatch):
         # The parent builds the World before the pool forks, so no
-        # worker builds a topology, an oracle or a CSR of its own.
+        # worker builds a topology, an oracle, a CSR or a route table
+        # of its own.
         monkeypatch.setattr(runner, "_WORLDS", {})
         names = ["fig8", "fig10", "ablation-outage"]
         pooled = run_experiments(names, SMALL_SCALE, jobs=2)
@@ -542,8 +546,9 @@ class TestInheritedWorld:
 
     def test_pooled_run_stores_the_route_tables(self, tmp_path):
         # The prebuilt World persists the routes it computed, once, so
-        # the next run memory-maps them instead of recomputing every
-        # destination. The run then lets go of that World.
+        # the next run copies them from the artifact instead of
+        # recomputing every destination. The run then lets go of that
+        # World.
         driver = obs.Metrics()
         with obs.using(driver):
             records = run_experiments(
@@ -556,8 +561,13 @@ class TestInheritedWorld:
         assert len(list(tmp_path.glob("oracle-tables-*"))) == 1
         collector = obs.Metrics()
         with obs.using(collector):
-            World(SMALL_SCALE, cache=ArtifactCache(str(tmp_path))).oracle
+            world = World(SMALL_SCALE, cache=ArtifactCache(str(tmp_path)))
+            world.oracle.routes_to_many(sorted(world.topology.ases))
         assert collector.counters.get("oracle.tables_mmap") == 1
+        assert "routing.batch.dests" not in collector.counters
+        assert "routing.batch.compute" not in set(
+            _span_names(collector.snapshot()["spans"])
+        )
 
     @fork_only
     def test_failed_prebuild_keeps_isolation(self, monkeypatch):
