@@ -137,20 +137,21 @@ def prefix_ids(topology, addresses):
     """Intern the covering prefixes of 32-bit address values.
 
     Returns ``(prefixes, ids)``: the distinct announced prefixes that
-    cover ``addresses``, and each address's index into them (-1 when no
-    prefix covers it). Each unique address is resolved once, however
-    often it repeats.
+    cover ``addresses``, in order of their first covered address
+    (ascending), and each address's index into them (-1 when no prefix
+    covers it). Each unique address is resolved once, however often it
+    repeats, by the topology's value-level
+    :meth:`~repro.topology.ASTopology.covering`.
     """
     unique, inverse = unique_with_inverse(
         np.asarray(addresses, dtype=np.int64)
     )
     index: Dict[IPv4Prefix, int] = {}
-    ids = np.empty(len(unique), dtype=np.int64)
-    for i, value in enumerate(unique.tolist()):
-        prefix = topology.covering_prefix(IPv4Address(value))
-        ids[i] = (
-            -1 if prefix is None else index.setdefault(prefix, len(index))
-        )
+    ids = np.fromiter(
+        (-1 if hit is None else index.setdefault(hit[0], len(index))
+         for hit in map(topology.covering, unique.tolist())),
+        dtype=np.int64, count=len(unique),
+    )
     return list(index), ids[inverse]
 
 

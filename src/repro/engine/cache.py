@@ -72,7 +72,9 @@ __all__ = [
 #:    warm runs memory-map instead of unpickling.
 #: 5: content timelines pickle their ``AddrsMatrix`` instead of one
 #:    frozenset per change point.
-GENERATOR_VERSION = 5
+#: 6: topologies pickle a per-length hash index of their address space
+#:    instead of a binary origin trie.
+GENERATOR_VERSION = 6
 
 #: On-disk entry container version (header format, not payload).
 ENTRY_VERSION = 3

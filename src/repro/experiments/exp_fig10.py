@@ -59,7 +59,8 @@ def run(world: World) -> Fig10Result:
     predicted_hops: List[int] = []
     physical: List[int] = []
     total = answered = 0
-    physical_cache = {}
+    # Home AS -> physical-graph hop distances from it: one BFS a home.
+    hops_from = {}
     for user_day in world.workload.user_days:
         stats = day_stats(user_day)
         home = stats.dominant_asn
@@ -72,13 +73,11 @@ def run(world: World) -> Fig10Result:
                 answered += 1
                 delays.append(prediction.latency_ms)
                 predicted_hops.append(prediction.as_hops)
-            key = (home, asn)
-            if key not in physical_cache:
-                physical_cache[key] = predictor.shortest_physical_as_hops(
-                    home, asn
-                )
-            if physical_cache[key] is not None:
-                physical.append(physical_cache[key])
+            if home not in hops_from:
+                hops_from[home] = world.topology.shortest_as_hops(home)
+            hops = hops_from[home].get(asn)
+            if hops is not None:
+                physical.append(hops)
     return Fig10Result(
         total_pairs=total,
         answered_pairs=answered,

@@ -26,12 +26,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from .. import obs
 from ..stats import sequential_sum
 from ..topology import ASTopology, Tier
+from ..workload import DeviceEventColumns
 from .device import AccessNetwork, UserClass, UserProfile, simulate_user_days
-from .events import MobilityEvent, UserDay, events_as_columns
+from .events import MobilityEvent, UserDay
 
 __all__ = [
     "MobilityWorkloadConfig",
@@ -92,6 +94,17 @@ class MobilityWorkloadConfig:
     home_via_carrier_prob: float = 0.75
 
 
+def _ip_changes(user_days: List[UserDay]):
+    """``(user_day, segment, next segment)`` for every pair of
+    consecutive segments whose IP differs: each mobility event, in
+    trace order, without building it."""
+    for ud in user_days:
+        segments = ud.segments
+        for a, b in zip(segments, segments[1:]):
+            if a.location.ip != b.location.ip:
+                yield ud, a, b
+
+
 class MobilityWorkload:
     """A generated population plus its simulated user-days."""
 
@@ -126,14 +139,17 @@ class MobilityWorkload:
         The :class:`~repro.workload.DeviceEventColumns` equivalent of
         :meth:`all_transitions` (same events, same order), built once
         and memoized — the zero-copy input the vectorized evaluators
-        reduce over. Object events remain available as lazy views on
-        the returned table.
+        reduce over. The table is filled column by column straight from
+        consecutive segments whose IP changes, without building a
+        :class:`MobilityEvent` per move; object events remain available
+        as lazy views on the returned table.
         """
         columns = getattr(self, "_columns", None)
         if columns is None:
-            columns = self._columns = events_as_columns(
-                self.all_transitions()
-            )
+            columns = self._columns = DeviceEventColumns.from_moves([
+                (ud.user_id, ud.day, b.start_hour, a.location, b.location)
+                for ud, a, b in _ip_changes(self.user_days)
+            ])
         return columns
 
     def transitions_on_day(self, day: int) -> List[MobilityEvent]:
@@ -213,8 +229,24 @@ def _pick_stub_network(
 def generate_workload(
     topology: ASTopology, config: Optional[MobilityWorkloadConfig] = None
 ) -> MobilityWorkload:
-    """Generate the full synthetic NomadLog workload."""
-    cfg = config or MobilityWorkloadConfig()
+    """Generate the full synthetic NomadLog workload.
+
+    Traced as span ``mobility.generate``, whose counter
+    ``mobility.generate.events`` adds the workload's IP-changing moves.
+    """
+    with obs.span("mobility.generate"):
+        profiles, user_days = _simulate(
+            topology, config or MobilityWorkloadConfig()
+        )
+        obs.incr("mobility.generate.events",
+                 sum(1 for _ in _ip_changes(user_days)))
+    return MobilityWorkload(profiles, user_days, topology)
+
+
+def _simulate(
+    topology: ASTopology, cfg: MobilityWorkloadConfig
+) -> Tuple[List[UserProfile], List[UserDay]]:
+    """The population of ``cfg`` and its simulated user-days."""
     rng = random.Random(cfg.seed)
 
     carriers: Dict[str, List[AccessNetwork]] = {}
@@ -290,4 +322,4 @@ def generate_workload(
     user_days: List[UserDay] = []
     for profile in profiles:
         user_days.extend(simulate_user_days(profile, cfg.num_days, rng))
-    return MobilityWorkload(profiles, user_days, topology)
+    return profiles, user_days

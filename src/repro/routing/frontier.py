@@ -433,13 +433,24 @@ class FrontierEngine:
         return self._row[nodes]
 
     def batch(self, dests: Iterable[int]) -> RouteTableBatch:
-        """The tables of ``dests``, in request order, gathered from the
-        store (computing any missing ones)."""
+        """The tables of ``dests``, in request order (computing any
+        missing ones).
+
+        When the requested rows are one ascending run of the store, as
+        a cold request for every AS makes them, the batch holds
+        read-only views of the store instead of a gathered copy.
+        """
         dests = np.array([int(d) for d in dests], dtype=np.int64)
         rows = self.rows(dests)
-        return RouteTableBatch(
-            self.csr, dests, *(getattr(self, name)[rows] for name in VECTORS)
-        )
+        start = int(rows[0]) if rows.size else 0
+        if (rows == np.arange(start, start + rows.size)).all():
+            run = slice(start, start + rows.size)
+            tables = [getattr(self, name)[run] for name in VECTORS]
+            for table in tables:
+                table.flags.writeable = False
+        else:
+            tables = [getattr(self, name)[rows] for name in VECTORS]
+        return RouteTableBatch(self.csr, dests, *tables)
 
     # -- flat-buffer round trip (warm artifacts) ------------------------
 
@@ -555,6 +566,17 @@ def rank_vectors(vantage) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
     return vectors
 
 
+def _origin(topology: ASTopology, prefix) -> int:
+    """The AS a prefix's routes lead to, as ``candidate_routes`` finds
+    it: the exact allocation's origin, else the origin of the longest
+    allocation covering its network address (-1 when none does)."""
+    origin = topology.origin_of_prefix(prefix)
+    if origin is not None:
+        return origin
+    hit = topology.covering(prefix.network)
+    return -1 if hit is None else hit[1]
+
+
 def next_hop_table_batch(vantage, oracle, prefixes) -> "np.ndarray":
     """FIB next hops for a prefix batch — array path of
     :meth:`~repro.routing.bgp.VantagePoint.next_hop_table`.
@@ -570,17 +592,14 @@ def next_hop_table_batch(vantage, oracle, prefixes) -> "np.ndarray":
     if count == 0:
         return table
 
-    origins = np.full(count, -1, dtype=np.int64)
-    nets = np.zeros(count, dtype=np.int64)
-    lens = np.zeros(count, dtype=np.int64)
-    for i, prefix in enumerate(prefixes):
-        nets[i] = prefix.network
-        lens[i] = prefix.length
-        origin = topo.origin_of_prefix(prefix)
-        if origin is None:
-            origin = topo.origin_of_address(prefix.first_address())
-        if origin is not None:
-            origins[i] = origin
+    nets = np.fromiter((p.network for p in prefixes), dtype=np.int64,
+                       count=count)
+    lens = np.fromiter((p.length for p in prefixes), dtype=np.int64,
+                       count=count)
+    origins = np.fromiter(
+        (_origin(topo, prefix) for prefix in prefixes), dtype=np.int64,
+        count=count,
+    )
     routable = np.nonzero(origins >= 0)[0]
     if routable.size == 0:
         return table
@@ -611,25 +630,18 @@ def next_hop_table_batch(vantage, oracle, prefixes) -> "np.ndarray":
     # Selective announcement (§3.2 prefix diversity), vectorized: the
     # chosen provider's node id must match the entry node, with
     # VantagePoint._apply_selective_announcement's strand fallback.
+    # Each origin's provider list is its CSR run, already ASN-sorted.
     if vantage.selective_fraction > 0.0:
-        prov_lists = [sorted(topo.ases[int(o)].providers)
-                      for o in uniq_origins]
-        prov_count = np.array([len(p) for p in prov_lists], dtype=np.int64)
-        width = max(int(prov_count.max()), 1)
-        prov_mat = np.full((len(uniq_origins), width), -1, dtype=np.int64)
-        for r, plist in enumerate(prov_lists):
-            prov_mat[r, : len(plist)] = plist
+        node = csr.indices_of(uniq_origins)[origin_row]
+        first = csr.prov_indptr[node]
+        prov_count = csr.prov_indptr[node + 1] - first
         h = (nets[routable] * 1103515245 + lens[routable]) & 0x7FFFFFFF
         coin = (h % 1000) / 1000.0 < vantage.selective_fraction
-        multi = prov_count[origin_row] >= 2
-        applies = coin & multi & (valid.sum(axis=1) > 1)
-        chosen_asn = prov_mat[
-            origin_row, (h >> 8) % np.maximum(prov_count[origin_row], 1)
+        applies = coin & (prov_count >= 2) & (valid.sum(axis=1) > 1)
+        chosen_idx = np.full(routable.size, -1, dtype=np.int64)
+        chosen_idx[applies] = csr.prov_indices[
+            first[applies] + (h[applies] >> 8) % prov_count[applies]
         ]
-        chosen_idx = np.full(len(chosen_asn), -2, dtype=np.int64)
-        known = chosen_asn >= 0
-        if known.any():
-            chosen_idx[known] = csr.indices_of(chosen_asn[known])
         keep = (plen < 2) | (entry == chosen_idx[:, None])
         filtered = valid & np.where(applies[:, None], keep, True)
         stranded = applies & ~filtered.any(axis=1) & valid.any(axis=1)

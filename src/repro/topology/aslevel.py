@@ -30,7 +30,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..net import IPv4Address, IPv4Prefix, PrefixTrie
+from .. import obs
+from ..net import IPv4Address, IPv4Prefix
 from ..stats import sequential_sum
 
 __all__ = [
@@ -136,11 +137,22 @@ class ASTopologyConfig:
 
 
 class ASTopology:
-    """The AS graph plus address-space ownership and latency model."""
+    """The AS graph plus address-space ownership and latency model.
+
+    Address ownership is a hash index that :meth:`assign_prefix` keeps
+    current: the exact ``{prefix: origin}`` allocations, and for each
+    distinct prefix length a dict from the prefix's leading bits
+    (``network >> (32 - length)``) to ``(prefix, origin)``, longest
+    length first. A longest-prefix match is therefore one dict probe
+    per distinct length (the generator hands out only /16s).
+    """
 
     def __init__(self) -> None:
         self.ases: Dict[int, ASNode] = {}
-        self._origin_trie: PrefixTrie[int] = PrefixTrie()
+        self._origins: Dict[IPv4Prefix, int] = {}
+        #: ``32 - length`` -> {leading bits: (prefix, origin)}, ascending
+        #: shift, so the longest allocated length is probed first.
+        self._by_shift: Dict[int, Dict[int, Tuple[IPv4Prefix, int]]] = {}
         self._region_jitter: Dict[int, Tuple[float, float]] = {}
 
     # -- construction ---------------------------------------------------
@@ -170,11 +182,17 @@ class ASTopology:
 
     def assign_prefix(self, asn: int, prefix: IPv4Prefix) -> None:
         """Allocate ``prefix`` to ``asn`` as originated address space."""
-        existing = self._origin_trie.get(prefix)
+        existing = self._origins.get(prefix)
         if existing is not None and existing != asn:
             raise ValueError(f"{prefix} already originated by AS{existing}")
         self.ases[asn].prefixes.append(prefix)
-        self._origin_trie.insert(prefix, asn)
+        self._origins[prefix] = asn
+        shift = 32 - prefix.length
+        table = self._by_shift.get(shift)
+        if table is None:
+            table = self._by_shift[shift] = {}
+            self._by_shift = dict(sorted(self._by_shift.items()))
+        table[prefix.network >> shift] = (prefix, asn)
 
     # -- relationship queries --------------------------------------------
 
@@ -209,23 +227,40 @@ class ASTopology:
 
     # -- address space ---------------------------------------------------
 
+    def covering(self, value: int) -> Optional[Tuple[IPv4Prefix, int]]:
+        """``(prefix, origin ASN)`` of the longest allocated prefix
+        covering the 32-bit address ``value`` (None if none does).
+
+        The value-level lookup batch callers use: no
+        :class:`IPv4Address` is built.
+        """
+        for shift, table in self._by_shift.items():
+            hit = table.get(value >> shift)
+            if hit is not None:
+                return hit
+        return None
+
     def origin_of_address(self, address: IPv4Address) -> Optional[int]:
         """The AS originating the longest prefix covering ``address``."""
-        match = self._origin_trie.longest_match(address)
-        return None if match is None else match[1]
+        hit = self.covering(address.value)
+        return None if hit is None else hit[1]
 
     def origin_of_prefix(self, prefix: IPv4Prefix) -> Optional[int]:
         """The AS originating exactly ``prefix`` (None if unallocated)."""
-        return self._origin_trie.get(prefix)
+        return self._origins.get(prefix)
 
     def covering_prefix(self, address: IPv4Address) -> Optional[IPv4Prefix]:
         """The longest allocated prefix covering ``address``."""
-        match = self._origin_trie.longest_match(address)
-        return None if match is None else match[0]
+        hit = self.covering(address.value)
+        return None if hit is None else hit[0]
 
     def all_prefixes(self) -> Iterator[Tuple[IPv4Prefix, int]]:
-        """All allocated ``(prefix, origin ASN)`` pairs."""
-        return self._origin_trie.items()
+        """All allocated ``(prefix, origin ASN)`` pairs, by ascending
+        (network, length): a covering prefix before the ones it covers."""
+        return iter(sorted(
+            self._origins.items(),
+            key=lambda item: (item[0].network, item[0].length),
+        ))
 
     # -- geography / latency ----------------------------------------------
 
@@ -294,12 +329,18 @@ def _alloc_region_blocks() -> Dict[str, IPv4Prefix]:
 def generate_as_topology(
     config: Optional[ASTopologyConfig] = None,
 ) -> ASTopology:
-    """Build the synthetic Internet described in the module docstring.
+    """Build the synthetic Internet described in the module docstring,
+    traced as span ``topology.generate``.
 
     Raises ``ValueError`` when a region's ASes need more /16s than the
     256 in its /8.
     """
-    cfg = config or ASTopologyConfig()
+    with obs.span("topology.generate"):
+        return _generate(config or ASTopologyConfig())
+
+
+def _generate(cfg: ASTopologyConfig) -> ASTopology:
+    """The synthetic Internet of ``cfg``."""
     rng = random.Random(cfg.seed)
     topo = ASTopology()
     next_asn = 100

@@ -12,7 +12,7 @@ round-trip test pins down.
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from . import require_numpy
 
@@ -79,30 +79,33 @@ class DeviceEventColumns:
     @classmethod
     def from_events(cls, events) -> "DeviceEventColumns":
         """Build the table from an iterable of ``MobilityEvent``."""
-        events = list(events)
-        table = np.empty(len(events), dtype=EVENT_DTYPE)
-        user_index = {}
-        users: List[str] = []
-        for i, event in enumerate(events):
-            user = user_index.get(event.user_id)
-            if user is None:
-                user = user_index[event.user_id] = len(users)
-                users.append(event.user_id)
-            old, new = event.old, event.new
-            table[i] = (
-                user,
-                event.day,
-                event.hour,
-                old.ip.value,
-                old.prefix.network,
-                old.prefix.length,
-                old.asn,
-                new.ip.value,
-                new.prefix.network,
-                new.prefix.length,
-                new.asn,
-            )
-        return cls(table, tuple(users))
+        return cls.from_moves(
+            [(e.user_id, e.day, e.hour, e.old, e.new) for e in events]
+        )
+
+    @classmethod
+    def from_moves(cls, moves: Sequence[tuple]) -> "DeviceEventColumns":
+        """Build the table column by column from move tuples.
+
+        Each move is ``(user_id, day, hour, old, new)``, with ``old`` and
+        ``new`` the :class:`~repro.mobility.NetworkLocation` left and
+        reached; rows keep the order of ``moves``, and users are interned
+        in order of first appearance.
+        """
+        table = np.empty(len(moves), dtype=EVENT_DTYPE)
+        user_index: Dict[str, int] = {}
+        table["user"] = [
+            user_index.setdefault(move[0], len(user_index)) for move in moves
+        ]
+        table["day"] = [move[1] for move in moves]
+        table["hour"] = [move[2] for move in moves]
+        for side, field in (("old", 3), ("new", 4)):
+            locations = [move[field] for move in moves]
+            table[f"{side}_ip"] = [loc.ip.value for loc in locations]
+            table[f"{side}_net"] = [loc.prefix.network for loc in locations]
+            table[f"{side}_len"] = [loc.prefix.length for loc in locations]
+            table[f"{side}_asn"] = [loc.asn for loc in locations]
+        return cls(table, tuple(user_index))
 
     @classmethod
     def empty(cls) -> "DeviceEventColumns":

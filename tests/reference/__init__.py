@@ -2,9 +2,12 @@
 
 ``src/`` keeps one implementation per hot path: the frontier-batched
 control plane, the vectorized evaluators, the batched convergence
-probes and the bitmask timeline builders. Their parity oracles live
-here, written the plain way:
+probes, the bitmask timeline builders and the hash-indexed address
+space. Their parity oracles live here, written the plain way:
 
+:mod:`.addressing`
+    Covering prefixes by binary-trie walk, and the per-address
+    ``prefix_ids`` loop over it.
 :mod:`.routing`
     The per-destination dict-BFS Gao-Rexford oracle, and a duck-typed
     oracle over it that ``VantagePoint.fib_best`` ranks prefix by prefix.

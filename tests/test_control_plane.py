@@ -22,6 +22,7 @@ miss, and route tables that do not fit the topology are refused —
 never a crash.
 """
 
+import dataclasses
 import pickle
 import random
 from unittest import mock
@@ -40,6 +41,10 @@ from repro.engine import ArtifactCache
 from repro.experiments import SMALL_SCALE, World
 from repro.routing import RoutingOracle, VantagePoint, frontier
 from repro.topology import (
+    ASNode,
+    ASTopology,
+    Relationship,
+    Tier,
     binary_tree_topology,
     chain_topology,
     clique_topology,
@@ -110,8 +115,21 @@ class TestBlockSweepParity:
         metrics = obs.Metrics()
         with obs.using(metrics):
             batch = oracle.routes_to_many(sorted(topo.ases))
-        _assert_same_tables(batch, oracle.frontier_engine().csr)
+        engine = oracle.frontier_engine()
+        _assert_same_tables(batch, engine.csr)
         assert metrics.counters["routing.batch.dests"] == len(topo)
+        # A cold request for every AS fills the store in request order,
+        # so the batch is read-only views of it rather than a copy.
+        for name in frontier.VECTORS:
+            table = getattr(batch, name)
+            assert np.shares_memory(table, getattr(engine, name)), name
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
+        shuffled = sorted(topo.ases)
+        random.Random(7).shuffle(shuffled)
+        gathered = oracle.routes_to_many(shuffled)
+        assert not np.shares_memory(gathered.ptype, engine.ptype)
+        _assert_same_tables(gathered, engine.csr)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -191,6 +209,50 @@ class TestNextHopTableParity:
             table = np.asarray(vp.next_hop_table(oracle, prefixes))
             expected = next_hop_table(vp, reference, prefixes)
             assert (table == expected).all(), vp.name
+
+    @settings(max_examples=25, deadline=None)
+    @given(random_internet())
+    def test_unallocated_prefixes_and_few_providers(self, topo):
+        # Unallocated prefixes route to the origin of the longest
+        # allocation covering their network address: a /26 inside a
+        # /24, the /8 over every /24 (its network address is the first
+        # one's), and a block nothing covers. At selective_fraction 1.0
+        # every prefix's coin lands, so tier-1 origins (no provider)
+        # and single-homed ones meet the filter's provider test too.
+        allocated = _attach_prefixes(topo)
+        prefixes = allocated + [
+            IPv4Prefix(allocated[-1].network | 64, 26),
+            IPv4Prefix(10 << 24, 8),
+            IPv4Prefix(99 << 24, 24),
+        ]
+        assert any(len(node.providers) < 2 for node in topo.ases.values())
+        oracle = RoutingOracle(topo)
+        reference = ReferenceOracle(topo)
+        for vp in _vantages(topo):
+            vp = dataclasses.replace(vp, selective_fraction=1.0)
+            table = np.asarray(vp.next_hop_table(oracle, prefixes))
+            expected = next_hop_table(vp, reference, prefixes)
+            assert (table == expected).all(), vp.name
+
+    def test_single_provider_origin_keeps_its_peer_route(self):
+        # Origin 30 buys transit from 20 only and peers with 10; the
+        # collector buys from both. The filter needs two providers, so
+        # 10's peer route to 30 stays and wins on the lower next hop.
+        topo = ASTopology()
+        for asn in (10, 20, 30):
+            topo.add_as(ASNode(asn, Tier.T2, "us-west"))
+        topo.add_customer_provider(30, 20)
+        topo.add_peering(30, 10)
+        prefix = IPv4Prefix(10 << 24, 16)
+        topo.assign_prefix(30, prefix)
+        vp = VantagePoint(
+            name="collector", host_region="us-west",
+            neighbors={10: Relationship.PROVIDER, 20: Relationship.PROVIDER},
+            selective_fraction=1.0,
+        )
+        table = vp.next_hop_table(RoutingOracle(topo), [prefix])
+        expected = next_hop_table(vp, ReferenceOracle(topo), [prefix])
+        assert table.tolist() == expected.tolist() == [10]
 
 
 _GRAPHS = {

@@ -1,10 +1,13 @@
 """Tests for the §3.1/§3.2 displacement methodology."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import InterdomainPortMap, interdomain_displaced, intradomain_displaced
+from repro.core.displacement import prefix_ids
 from repro.mobility import MobilityEvent, NetworkLocation
-from repro.net import parse_address, parse_prefix
+from repro.net import IPv4Prefix, parse_address, parse_prefix
 from repro.routing import RoutingOracle, VantagePoint
 from repro.topology import (
     ASNode,
@@ -13,7 +16,10 @@ from repro.topology import (
     IntradomainNetwork,
     Relationship,
     Tier,
+    generate_as_topology,
 )
+
+from .reference.addressing import prefix_ids as reference_prefix_ids
 
 
 def paper_network():
@@ -124,3 +130,33 @@ class TestInterdomainDisplacement:
     def test_ports_match_vantage_fib(self, port_map):
         assert port_map.port_for_prefix(parse_prefix("10.6.0.0/16")) == 3
         assert port_map.port_for_prefix(parse_prefix("10.7.0.0/16")) == 4
+
+
+@pytest.fixture(scope="module")
+def nested_internet():
+    """The default Internet plus a more specific /24 (x.y.7.0/24) inside
+    every tenth /16, owned by another AS."""
+    topo = generate_as_topology()
+    asns = sorted(topo.ases)
+    blocks = [prefix for prefix, _origin in topo.all_prefixes()]
+    for asn, block in zip(asns, blocks[::10]):
+        topo.assign_prefix(asn, IPv4Prefix(block.network | (7 << 8), 24))
+    return topo
+
+
+class TestPrefixIds:
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_matches_the_trie_loop(self, nested_internet, data):
+        networks = sorted({p.network
+                           for p, _ in nested_internet.all_prefixes()})
+        offsets = st.integers(0, 0xFFFF) | st.integers(7 << 8, (8 << 8) - 1)
+        inside = st.builds(lambda net, off: net | off,
+                           st.sampled_from(networks), offsets)
+        addresses = data.draw(st.lists(
+            inside | st.integers(0, 0xFFFFFFFF), max_size=80))
+        prefixes, ids = prefix_ids(nested_internet, addresses)
+        want_prefixes, want_ids = reference_prefix_ids(
+            nested_internet, addresses)
+        assert prefixes == want_prefixes
+        assert ids.tolist() == want_ids.tolist()

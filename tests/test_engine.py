@@ -60,7 +60,7 @@ fork_only = pytest.mark.skipif(
 #: route-table computation opens ``routing.batch.compute``, and the
 #: prebuilt World already holds the tables to every AS.
 SUBSTRATE_SPANS = {"world.topology", "world.oracle", "routing.batch.csr_build",
-                   "routing.batch.compute"}
+                   "routing.batch.compute", "topology.generate"}
 
 
 def _span_names(spans):

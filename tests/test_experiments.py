@@ -5,6 +5,8 @@ the harness mechanics — world caching, result structure, formatting —
 at a scale that runs in seconds.
 """
 
+from unittest import mock
+
 import pytest
 
 from repro.experiments import (
@@ -20,6 +22,7 @@ from repro.experiments import (
     exp_fig12,
     exp_table1,
 )
+from repro.topology import ASTopology
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +91,11 @@ class TestExperimentOutputs:
         assert "Fig. 9" in exp_fig9.format_result(result)
 
     def test_fig10(self, world):
-        result = exp_fig10.run(world)
+        with mock.patch.object(ASTopology, "shortest_as_hops", autospec=True,
+                               side_effect=ASTopology.shortest_as_hops) as bfs:
+            result = exp_fig10.run(world)
+        homes = [call.args[1] for call in bfs.call_args_list]
+        assert len(homes) == len(set(homes))  # one BFS per home AS
         assert 0 < result.answer_rate() < 0.5
         assert result.median_physical_hops() >= 1
         assert "Fig. 10" in exp_fig10.format_result(result)

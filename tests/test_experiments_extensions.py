@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.core import ForwardingStrategy
 from repro.experiments import (
     SMALL_SCALE,
@@ -17,6 +18,8 @@ from repro.experiments import (
     exp_perturbation,
 )
 from repro.forwarding import InterestStrategy
+
+from .test_engine import _span_names
 
 
 @pytest.fixture(scope="module")
@@ -153,3 +156,17 @@ class TestPerturbation:
         assert result.profile_correlation[1.0] == 1.0
         assert result.profile_correlation[2.0] > 0.9
         assert "robustness" in exp_perturbation.format_result(result)
+
+    def test_scale_one_reads_the_world_events(self, world):
+        # The x1.0 workload is the World's own, so only the three
+        # other scales generate one.
+        events = world.device_event_columns
+        metrics = obs.Metrics()
+        with obs.using(metrics):
+            result = exp_perturbation.run(world)
+        generated = [name for name in _span_names(metrics.snapshot()["spans"])
+                     if name == "mobility.generate"]
+        assert len(generated) == 3
+        assert result.events[1.0] == len(events)
+        assert metrics.counters["mobility.generate.events"] == sum(
+            result.events[scale] for scale in (0.5, 2.0, 4.0))

@@ -1,8 +1,10 @@
 """Tests for the synthetic AS-level Internet topology."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.net import IPv4Prefix, parse_address
+from repro.net import IPv4Address, IPv4Prefix, parse_address
 from repro.topology import (
     REGIONS,
     ASNode,
@@ -13,10 +15,24 @@ from repro.topology import (
     generate_as_topology,
 )
 
+from .reference.addressing import origin_trie
+
 
 @pytest.fixture(scope="module")
 def topo():
     return generate_as_topology()
+
+
+#: Address values around a few shared networks, so that prefixes drawn
+#: from them nest (every length of one value is a chain) and addresses
+#: drawn from them land inside, next to and outside allocations.
+_values = st.one_of(
+    st.sampled_from([0, 0x0A000000, 0x0A010000, 0x0A0100FF, 0x0A018000,
+                     0xC0A80001, 0xFFFFFFFF]),
+    st.integers(min_value=0, max_value=0xFFFFFFFF),
+)
+_prefixes = st.builds(IPv4Prefix, _values, st.integers(min_value=0,
+                                                       max_value=32))
 
 
 class TestManualConstruction:
@@ -82,6 +98,53 @@ class TestManualConstruction:
         topo.assign_prefix(3, IPv4Prefix.from_string("10.1.0.0/16"))
         assert topo.origin_of_address(parse_address("10.1.0.1")) == 3
         assert topo.origin_of_address(parse_address("10.2.0.1")) == 2
+
+
+class TestAddressIndex:
+    """The per-length hash index against a trie of the same allocations."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(_prefixes, st.integers(min_value=1, max_value=3)),
+                 max_size=25),
+        st.lists(_prefixes, max_size=10),
+        st.lists(_values, max_size=25),
+    )
+    def test_index_answers_as_a_trie_does(self, assignments, probes, values):
+        topo = ASTopology()
+        for asn in (1, 2, 3):
+            topo.add_as(ASNode(asn=asn, tier=Tier.STUB, region="us-west"))
+        owners = {}
+        for prefix, asn in assignments:
+            if owners.get(prefix, asn) != asn:
+                with pytest.raises(ValueError):
+                    topo.assign_prefix(asn, prefix)
+                continue
+            topo.assign_prefix(asn, prefix)
+            owners[prefix] = asn
+        trie = origin_trie(topo)
+        assert list(topo.all_prefixes()) == list(trie.items())
+        for prefix in [p for p, _ in assignments] + probes:
+            assert topo.origin_of_prefix(prefix) == trie.get(prefix)
+        for value in values:
+            address = IPv4Address(value)
+            match = trie.longest_match(address)
+            assert topo.covering(value) == match
+            assert topo.covering_prefix(address) == (
+                None if match is None else match[0])
+            assert topo.origin_of_address(address) == (
+                None if match is None else match[1])
+
+    def test_root_and_host_prefixes(self):
+        topo = ASTopology()
+        for asn in (1, 2):
+            topo.add_as(ASNode(asn=asn, tier=Tier.STUB, region="us-west"))
+        host = IPv4Prefix.from_string("10.1.2.3/32")
+        topo.assign_prefix(1, IPv4Prefix(0, 0))
+        topo.assign_prefix(2, host)
+        assert topo.covering(host.network) == (host, 2)
+        assert topo.covering(host.network + 1) == (IPv4Prefix(0, 0), 1)
+        assert [p for p, _ in topo.all_prefixes()] == [IPv4Prefix(0, 0), host]
 
 
 class TestGeneratedTopology:

@@ -5,9 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.content import AddressTimeline
-from repro.mobility import MobilityEvent, NetworkLocation, events_as_columns
+from repro.mobility import (
+    MobilityEvent,
+    MobilityWorkloadConfig,
+    NetworkLocation,
+    events_as_columns,
+    generate_workload,
+)
 from repro.net import ContentName, IPv4Address, IPv4Prefix, parse_address
+from repro.topology import generate_as_topology
 from repro.workload import AddrsMatrix, DeviceEventColumns, EventColumns
 from repro.workload.columns import EVENT_DTYPE, unique_with_inverse
 
@@ -67,6 +75,23 @@ class TestRoundTrip:
         columns = events_as_columns([event])
         assert isinstance(columns, DeviceEventColumns)
         assert columns.to_events() == [event]
+
+
+class TestWorkloadTable:
+    def test_as_columns_holds_every_transition(self):
+        # The column-wise build from segment pairs gives the table the
+        # object events would, users interned in first-event order.
+        topo = generate_as_topology()
+        metrics = obs.Metrics()
+        with obs.using(metrics):
+            workload = generate_workload(topo, MobilityWorkloadConfig(
+                num_users=40, num_days=3, seed=11))
+        events = workload.all_transitions()
+        columns = workload.as_columns()
+        assert len(columns) == len(events) > 0
+        assert columns.to_events() == events
+        assert columns.users == tuple(dict.fromkeys(e.user_id for e in events))
+        assert metrics.counters["mobility.generate.events"] == len(events)
 
 
 class TestBatchAccessors:
