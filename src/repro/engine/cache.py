@@ -74,7 +74,9 @@ __all__ = [
 #:    frozenset per change point.
 #: 6: topologies pickle a per-length hash index of their address space
 #:    instead of a binary origin trie.
-GENERATOR_VERSION = 6
+#: 7: mobility workloads pickle one segment table instead of their
+#:    ``UserDay`` objects.
+GENERATOR_VERSION = 7
 
 #: On-disk entry container version (header format, not payload).
 ENTRY_VERSION = 3

@@ -35,7 +35,6 @@ from ..measurement import (
     build_routeviews_routers,
 )
 from ..mobility import (
-    MobilityEvent,
     MobilityWorkload,
     MobilityWorkloadConfig,
     generate_workload,
@@ -116,7 +115,6 @@ class World:
         self._routeviews: Optional[List[VantagePoint]] = None
         self._ripe: Optional[List[VantagePoint]] = None
         self._workload: Optional[MobilityWorkload] = None
-        self._events: Optional[List[MobilityEvent]] = None
         self._event_columns = None
         self._universe: Optional[DomainUniverse] = None
         self._hosting: Optional[HostingDirectory] = None
@@ -295,21 +293,15 @@ class World:
         return self._workload
 
     @property
-    def device_events(self) -> List[MobilityEvent]:
-        """All device mobility events in the workload."""
-        if self._events is None:
-            self._events = self.workload.all_transitions()
-        return self._events
-
-    @property
     def device_event_columns(self):
         """All device mobility events as one columnar batch.
 
         The :class:`~repro.workload.DeviceEventColumns` the vectorized
         evaluators reduce over — same events, same order as
-        :attr:`device_events`. Content-addressed like the other world
-        artifacts (keyed by workload parameters plus the table layout
-        version), so a cache hit skips workload generation entirely.
+        ``workload.all_transitions()``. Content-addressed like the other
+        world artifacts (keyed by workload parameters plus the table
+        layout version), so a cache hit skips workload generation
+        entirely.
         """
         if self._event_columns is None:
             from ..workload import DeviceEventColumns

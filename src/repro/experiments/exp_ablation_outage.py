@@ -19,9 +19,10 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from ..engine import Series, register
 from ..forwarding import ConvergenceSimulator
-from ..mobility import MobilityEvent
 from ..resolution import TtlPoint, simulate_ttl
 from ..topology import binary_tree_topology, chain_topology, clique_topology
 from .context import World
@@ -69,12 +70,17 @@ def run(
             events, random.Random(seed)
         )
 
-    # TTL staleness for the most mobile user in the workload.
-    by_user: Dict[str, List[MobilityEvent]] = {}
-    for event in world.device_events:
-        by_user.setdefault(event.user_id, []).append(event)
-    busiest = max(by_user, key=lambda u: len(by_user[u]))
-    ttl_points = simulate_ttl(by_user[busiest], ttls_s=ttls_s, seed=seed)
+    # TTL staleness for the most mobile user in the workload: users are
+    # interned in order of first event, so the first maximal count is
+    # the earliest-seen busiest user.
+    columns = world.device_event_columns
+    users = columns.table["user"]
+    busiest = np.bincount(users).argmax()
+    ttl_points = simulate_ttl(
+        [columns.event(i) for i in np.flatnonzero(users == busiest)],
+        ttls_s=ttls_s,
+        seed=seed,
+    )
     return OutageResult(
         name_based=name_based,
         indirection_outage_hops=2.0,  # one registration round trip

@@ -5,6 +5,8 @@ from .device import (
     AccessNetwork,
     UserClass,
     UserProfile,
+    check_segments,
+    segment_table,
     simulate_user_day,
     simulate_user_days,
 )
@@ -51,6 +53,8 @@ __all__ = [
     "UserProfile",
     "simulate_user_day",
     "simulate_user_days",
+    "segment_table",
+    "check_segments",
     "MobilityWorkload",
     "MobilityWorkloadConfig",
     "generate_workload",

@@ -26,6 +26,14 @@ cover that range:
 
 Every stochastic choice flows from one ``random.Random`` instance, so
 traces are reproducible from a seed.
+
+The day builders emit plain rows, not record objects: a
+:data:`Location` per attach and a :data:`Row` per stay.
+:func:`segment_table` normalizes each day's rows, stacks them into one
+:data:`~repro.workload.columns.SEGMENT_DTYPE` table and runs every
+check of :class:`~repro.mobility.NetworkLocation`,
+:class:`~repro.mobility.DaySegment` and :class:`~repro.mobility.UserDay`
+once over it.
 """
 
 from __future__ import annotations
@@ -33,18 +41,31 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Iterable, List, Optional, Tuple
 
-from ..net import IPv4Prefix
-from .events import HOURS_PER_DAY, DaySegment, NetworkLocation, UserDay
+from ..net import IPv4Address, IPv4Prefix
+from ..workload.columns import SEGMENT_DTYPE, np
+from .events import HOURS_PER_DAY
 
 __all__ = [
     "UserClass",
     "AccessNetwork",
     "UserProfile",
+    "Location",
+    "Row",
     "simulate_user_day",
     "simulate_user_days",
+    "segment_table",
+    "check_segments",
 ]
+
+#: A point of attachment as the simulator carries it: ``(address value,
+#: covering prefix, origin AS)``, the fields of a ``NetworkLocation``.
+Location = Tuple[int, IPv4Prefix, int]
+
+#: One stay as a day builder emits it: ``(location, start hour,
+#: duration in hours, cellular?)``, the fields of a ``DaySegment``.
+Row = Tuple[Location, float, float, bool]
 
 
 class UserClass(enum.Enum):
@@ -76,14 +97,14 @@ class AccessNetwork:
     #: pools, which keeps the paper's prefix curve between the AS and
     #: IP curves in Figs. 6-7.
     prefix_stickiness: float = 0.75
-    _lease: Optional[NetworkLocation] = field(default=None, repr=False)
+    _lease: Optional[Location] = field(default=None, repr=False)
     _last_prefix: Optional[IPv4Prefix] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if not self.prefixes:
             raise ValueError("an access network needs at least one prefix")
 
-    def attach(self, rng: random.Random) -> NetworkLocation:
+    def attach(self, rng: random.Random) -> Location:
         """The network location obtained by (re)connecting."""
         if self.sticky and self._lease is not None:
             return self._lease
@@ -96,9 +117,7 @@ class AccessNetwork:
             prefix = rng.choice(self.prefixes)
         self._last_prefix = prefix
         host = rng.randrange(1, min(prefix.num_addresses(), 1 << 16))
-        location = NetworkLocation(
-            ip=prefix.address_at(host), prefix=prefix, asn=self.asn
-        )
+        location = (prefix.network + host, prefix, self.asn)
         if self.sticky:
             self._lease = location
         return location
@@ -143,28 +162,20 @@ def _cellular_segments(
     rng: random.Random,
     start: float,
     duration: float,
-) -> List[DaySegment]:
-    """Split a cellular period into per-attach segments (fresh IP each)."""
+) -> List[Row]:
+    """Split a cellular period into per-attach rows (fresh IP each)."""
     if duration <= 0:
         return []
     period = max(0.2, profile.attach_period_hours / max(profile.activity, 0.1))
-    segments: List[DaySegment] = []
+    rows: List[Row] = []
     cursor = start
     remaining = duration
     while remaining > 1e-9:
         chunk = min(remaining, rng.uniform(0.5 * period, 1.5 * period))
-        location = profile.cellular.attach(rng)
-        segments.append(
-            DaySegment(
-                location=location,
-                start_hour=cursor,
-                duration_hours=chunk,
-                net_type="cellular",
-            )
-        )
+        rows.append((profile.cellular.attach(rng), cursor, chunk, True))
         cursor += chunk
         remaining -= chunk
-    return segments
+    return rows
 
 
 def _wifi_segment(
@@ -172,43 +183,33 @@ def _wifi_segment(
     rng: random.Random,
     start: float,
     duration: float,
-) -> DaySegment:
-    return DaySegment(
-        location=network.attach(rng),
-        start_hour=start,
-        duration_hours=duration,
-        net_type="wifi",
-    )
+) -> Row:
+    return (network.attach(rng), start, duration, False)
 
 
-def _normalize(segments: List[DaySegment]) -> List[DaySegment]:
+def _normalize(rows: List[Row]) -> List[Row]:
     """Force exact contiguous 0..24 coverage (fix float drift)."""
-    fixed: List[DaySegment] = []
+    fixed: List[Row] = []
     cursor = 0.0
-    for i, seg in enumerate(segments):
-        end = HOURS_PER_DAY if i == len(segments) - 1 else seg.end_hour
+    last = len(rows) - 1
+    for i, (location, start, duration, cellular) in enumerate(rows):
+        end = HOURS_PER_DAY if i == last else start + duration
         duration = end - cursor
         if duration <= 1e-9:
             continue
-        fixed.append(
-            DaySegment(
-                location=seg.location,
-                start_hour=cursor,
-                duration_hours=duration,
-                net_type=seg.net_type,
-            )
-        )
+        fixed.append((location, cursor, duration, cellular))
         cursor += duration
     return fixed
 
 
 def simulate_user_day(
     profile: UserProfile, day: int, rng: random.Random, weekend: bool = False
-) -> UserDay:
+) -> List[Row]:
     """Simulate one day of attachments for ``profile``.
 
-    The returned :class:`UserDay` covers 0..24h contiguously. Weekend
-    days suppress the commute pattern (commuters behave like
+    Returns the day builder's rows, in time order; :func:`segment_table`
+    normalizes them to cover 0..24h contiguously and checks them.
+    Weekend days suppress the commute pattern (commuters behave like
     homebodies), which is what produces the within-user day-to-day
     variance the paper's per-day statistics average over.
     """
@@ -219,28 +220,20 @@ def simulate_user_day(
     if weekend and cls in (UserClass.CELLULAR_COMMUTER, UserClass.WIFI_COMMUTER):
         cls = UserClass.WIFI_HOMEBODY if profile.home else UserClass.CELLULAR_ONLY
 
-    builders = {
-        UserClass.WIFI_HOMEBODY: _homebody_day,
-        UserClass.CELLULAR_COMMUTER: _cellular_commuter_day,
-        UserClass.WIFI_COMMUTER: _wifi_commuter_day,
-        UserClass.CELLULAR_ONLY: _cellular_only_day,
-        UserClass.NOMAD: _nomad_day,
-    }
-    segments = builders[cls](profile, rng)
-    return UserDay(user_id=profile.user_id, day=day, segments=_normalize(segments))
+    return _DAY_BUILDERS[cls](profile, rng)
 
 
 def simulate_user_days(
     profile: UserProfile, num_days: int, rng: random.Random
-) -> List[UserDay]:
+) -> List[List[Row]]:
     """Simulate ``num_days`` consecutive days for one profile.
 
-    The batch entry point the workload generator (and the columnar
-    pipeline behind it) drives: one call per user instead of one per
-    user-day. Draws flow through ``rng`` in exactly the same order as
-    ``num_days`` successive :func:`simulate_user_day` calls — day
-    ``d`` is a weekend iff ``d % 7 in (5, 6)`` — so traces generated
-    either way are identical for a given seed.
+    The batch entry point the workload generator drives: one call per
+    user instead of one per user-day. Draws flow through ``rng`` in
+    exactly the same order as ``num_days`` successive
+    :func:`simulate_user_day` calls — day ``d`` is a weekend iff
+    ``d % 7 in (5, 6)`` — so traces generated either way are identical
+    for a given seed.
     """
     return [
         simulate_user_day(profile, day, rng, weekend=day % 7 in (5, 6))
@@ -248,9 +241,96 @@ def simulate_user_days(
     ]
 
 
-def _homebody_day(profile: UserProfile, rng: random.Random) -> List[DaySegment]:
+def segment_table(days: Iterable[Tuple[int, int, List[Row]]]) -> "np.ndarray":
+    """Stack simulated days into one checked segment table.
+
+    ``days`` yields ``(user, day, rows)`` in trace order, with ``rows``
+    as :func:`simulate_user_day` returns them. The rows are checked as
+    ``DaySegment``s, each day is normalized (:func:`_normalize`), and
+    the result is stacked into a :data:`SEGMENT_DTYPE` table that
+    :func:`check_segments` checks as a whole. Raises the ``ValueError``
+    the record objects raise.
+    """
+    raw_start: List[float] = []
+    raw_duration: List[float] = []
+    flat: List[tuple] = []
+    empty = False
+    for user, day, rows in days:
+        raw_start += [row[1] for row in rows]
+        raw_duration += [row[2] for row in rows]
+        fixed = _normalize(rows)
+        empty = empty or not fixed
+        flat.extend([
+            (user, day, start, duration, ip, prefix.network, prefix.length,
+             asn, cellular)
+            for (ip, prefix, asn), start, duration, cellular in fixed
+        ])
+    _check_stays(
+        np.array(raw_start, dtype=np.float64),
+        np.array(raw_duration, dtype=np.float64),
+    )
+    if empty:
+        raise ValueError("a user day needs at least one segment")
+    table = np.array(flat, dtype=SEGMENT_DTYPE)
+    check_segments(table)
+    return table
+
+
+def _check_stays(start: "np.ndarray", duration: "np.ndarray") -> None:
+    """``DaySegment``'s checks over columns of starts and durations."""
+    bad = np.flatnonzero(duration <= 0)
+    if bad.size:
+        raise ValueError(f"non-positive duration: {float(duration[bad[0]])}")
+    bad = np.flatnonzero(~((start >= 0.0) & (start < HOURS_PER_DAY)))
+    if bad.size:
+        raise ValueError(f"start hour out of range: {float(start[bad[0]])}")
+
+
+def check_segments(table: "np.ndarray") -> None:
+    """Run every record check once over a whole segment table.
+
+    ``NetworkLocation``'s (each address lies inside its prefix),
+    ``DaySegment``'s (positive duration, start hour in [0, 24)) and
+    ``UserDay``'s (the rows of each user-day run contiguously from hour
+    0 to hour 24, to within 1e-6 h). Raises the ``ValueError`` the
+    first failing record object would.
+    """
+    length = table["len"].astype(np.uint64)
+    mask = (np.uint64(0xFFFFFFFF) << (np.uint64(32) - length)) & np.uint64(
+        0xFFFFFFFF
+    )
+    outside = np.flatnonzero((table["ip"] & mask) != table["net"])
+    if outside.size:
+        row = table[outside[0]]
+        address = IPv4Address(int(row["ip"]))
+        prefix = IPv4Prefix(int(row["net"]), int(row["len"]))
+        raise ValueError(f"{address} is not inside {prefix}")
+    start, duration = table["start"], table["duration"]
+    _check_stays(start, duration)
+    if not len(table):
+        return
+    user, day = table["user"], table["day"]
+    first = np.ones(len(table), dtype=bool)
+    first[1:] = (user[1:] != user[:-1]) | (day[1:] != day[:-1])
+    end = start + duration
+    cursor = np.zeros(len(table))
+    cursor[1:] = end[:-1]
+    cursor[first] = 0.0
+    gap = np.flatnonzero(np.abs(start - cursor) > 1e-6)
+    if gap.size:
+        hour = float(cursor[gap[0]])
+        raise ValueError(f"segments must be contiguous: gap at hour {hour:.3f}")
+    covered = end[np.append(first[1:], True)]
+    short = np.flatnonzero(np.abs(covered - HOURS_PER_DAY) > 1e-6)
+    if short.size:
+        raise ValueError(
+            f"day covers {float(covered[short[0]]):.3f}h, expected 24h"
+        )
+
+
+def _homebody_day(profile: UserProfile, rng: random.Random) -> List[Row]:
     home = profile.home or profile.cellular
-    segments: List[DaySegment] = []
+    segments: List[Row] = []
     # Expected number of short cellular excursions scales with activity.
     excursions = 0
     mean = 0.8 * profile.activity
@@ -277,7 +357,7 @@ def _homebody_day(profile: UserProfile, rng: random.Random) -> List[DaySegment]:
 
 def _cellular_commuter_day(
     profile: UserProfile, rng: random.Random
-) -> List[DaySegment]:
+) -> List[Row]:
     home = profile.home or profile.cellular
     leave = _clamp(rng.gauss(8.3, 0.6), 6.5, 10.5)
     back = _clamp(rng.gauss(17.8, 0.9), leave + 4.0, 22.0)
@@ -287,7 +367,7 @@ def _cellular_commuter_day(
     return segments
 
 
-def _wifi_commuter_day(profile: UserProfile, rng: random.Random) -> List[DaySegment]:
+def _wifi_commuter_day(profile: UserProfile, rng: random.Random) -> List[Row]:
     home = profile.home or profile.cellular
     work = profile.work or profile.cellular
     leave = _clamp(rng.gauss(8.2, 0.5), 6.5, 10.0)
@@ -315,20 +395,13 @@ def _wifi_commuter_day(profile: UserProfile, rng: random.Random) -> List[DaySegm
     return segments
 
 
-def _cellular_only_day(profile: UserProfile, rng: random.Random) -> List[DaySegment]:
+def _cellular_only_day(profile: UserProfile, rng: random.Random) -> List[Row]:
     # The whole day on the carrier; overnight the radio holds one
     # address, daytime re-attaches churn it. Occasionally the user hops
     # onto a public WiFi venue for a while.
     overnight_end = _clamp(rng.gauss(7.5, 0.8), 5.0, 9.5)
     night_loc = profile.cellular.attach(rng)
-    segments = [
-        DaySegment(
-            location=night_loc,
-            start_hour=0.0,
-            duration_hours=overnight_end,
-            net_type="cellular",
-        )
-    ]
+    segments = [(night_loc, 0.0, overnight_end, True)]
     if profile.venues and rng.random() < 0.20:
         stop_start = rng.uniform(overnight_end + 1.0, 19.0)
         stop_len = rng.uniform(0.5, 1.5)
@@ -351,7 +424,7 @@ def _cellular_only_day(profile: UserProfile, rng: random.Random) -> List[DaySegm
     return segments
 
 
-def _nomad_day(profile: UserProfile, rng: random.Random) -> List[DaySegment]:
+def _nomad_day(profile: UserProfile, rng: random.Random) -> List[Row]:
     home = profile.home or profile.cellular
     out_start = _clamp(rng.gauss(9.0, 0.8), 7.0, 11.0)
     out_end = _clamp(rng.gauss(21.0, 1.0), out_start + 6.0, 23.5)
@@ -378,6 +451,15 @@ def _nomad_day(profile: UserProfile, rng: random.Random) -> List[DaySegment]:
             cursor += duration
     segments.append(_wifi_segment(home, rng, out_end, HOURS_PER_DAY - out_end))
     return segments
+
+
+_DAY_BUILDERS = {
+    UserClass.WIFI_HOMEBODY: _homebody_day,
+    UserClass.CELLULAR_COMMUTER: _cellular_commuter_day,
+    UserClass.WIFI_COMMUTER: _wifi_commuter_day,
+    UserClass.CELLULAR_ONLY: _cellular_only_day,
+    UserClass.NOMAD: _nomad_day,
+}
 
 
 def _poisson(rng: random.Random, mean: float) -> int:

@@ -29,11 +29,18 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .. import obs
+from ..net import IPv4Address, IPv4Prefix
 from ..stats import sequential_sum
 from ..topology import ASTopology, Tier
-from ..workload import DeviceEventColumns
-from .device import AccessNetwork, UserClass, UserProfile, simulate_user_days
-from .events import MobilityEvent, UserDay
+from ..workload.columns import DeviceEventColumns, np, segment_moves
+from .device import (
+    AccessNetwork,
+    UserClass,
+    UserProfile,
+    segment_table,
+    simulate_user_days,
+)
+from .events import DaySegment, MobilityEvent, NetworkLocation, UserDay
 
 __all__ = [
     "MobilityWorkloadConfig",
@@ -94,37 +101,48 @@ class MobilityWorkloadConfig:
     home_via_carrier_prob: float = 0.75
 
 
-def _ip_changes(user_days: List[UserDay]):
-    """``(user_day, segment, next segment)`` for every pair of
-    consecutive segments whose IP differs: each mobility event, in
-    trace order, without building it."""
-    for ud in user_days:
-        segments = ud.segments
-        for a, b in zip(segments, segments[1:]):
-            if a.location.ip != b.location.ip:
-                yield ud, a, b
-
-
 class MobilityWorkload:
-    """A generated population plus its simulated user-days."""
+    """A generated population plus its simulated segment table.
+
+    ``segments`` is the :data:`~repro.workload.columns.SEGMENT_DTYPE`
+    table of every stay, its ``user`` column indexing ``profiles``.
+    The event table (:meth:`as_columns`) and the record objects
+    (:attr:`user_days`) are views of it, built on first use; a pickle
+    carries the table alone.
+    """
 
     def __init__(
         self,
         profiles: List[UserProfile],
-        user_days: List[UserDay],
+        segments: "np.ndarray",
         topology: ASTopology,
     ):
         self.profiles = profiles
-        self.user_days = user_days
+        self.segments = segments
         self.topology = topology
-        self._by_user: Dict[str, List[UserDay]] = {}
-        for ud in user_days:
-            self._by_user.setdefault(ud.user_id, []).append(ud)
-        self._columns = None
+        self._user_days: Optional[List[UserDay]] = None
+        self._columns: Optional[DeviceEventColumns] = None
 
-    def days_of(self, user_id: str) -> List[UserDay]:
-        """All simulated days of one user, in day order."""
-        return sorted(self._by_user.get(user_id, []), key=lambda d: d.day)
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["_user_days"] = state["_columns"] = None
+        return state
+
+    @property
+    def user_ids(self) -> Tuple[str, ...]:
+        """The id of each table user, by profile index."""
+        return tuple(profile.user_id for profile in self.profiles)
+
+    @property
+    def user_days(self) -> List[UserDay]:
+        """Every simulated day as a :class:`UserDay`, in table order.
+
+        Built from the segment table on first access, for the readers
+        that want record objects.
+        """
+        if self._user_days is None:
+            self._user_days = _user_days(self.segments, self.user_ids)
+        return self._user_days
 
     def all_transitions(self) -> List[MobilityEvent]:
         """Every IP-changing mobility event in the whole trace."""
@@ -133,37 +151,62 @@ class MobilityWorkload:
             events.extend(ud.transitions())
         return events
 
-    def as_columns(self):
+    def as_columns(self) -> DeviceEventColumns:
         """Every mobility event as one columnar batch.
 
         The :class:`~repro.workload.DeviceEventColumns` equivalent of
         :meth:`all_transitions` (same events, same order), built once
         and memoized — the zero-copy input the vectorized evaluators
-        reduce over. The table is filled column by column straight from
-        consecutive segments whose IP changes, without building a
-        :class:`MobilityEvent` per move; object events remain available
-        as lazy views on the returned table.
+        reduce over. It is a numpy gather of the segment table's
+        consecutive same-user-day rows whose address changes
+        (:meth:`~repro.workload.DeviceEventColumns.from_segments`).
         """
-        columns = getattr(self, "_columns", None)
-        if columns is None:
-            columns = self._columns = DeviceEventColumns.from_moves([
-                (ud.user_id, ud.day, b.start_hour, a.location, b.location)
-                for ud, a, b in _ip_changes(self.user_days)
-            ])
-        return columns
-
-    def transitions_on_day(self, day: int) -> List[MobilityEvent]:
-        """All mobility events that occurred on ``day``."""
-        return [
-            ev
-            for ud in self.user_days
-            if ud.day == day
-            for ev in ud.transitions()
-        ]
+        if self._columns is None:
+            self._columns = DeviceEventColumns.from_segments(
+                self.segments, self.user_ids
+            )
+        return self._columns
 
     def num_users(self) -> int:
         """Number of users with at least one simulated day."""
-        return len(self._by_user)
+        return len(np.unique(self.segments["user"]))
+
+
+def _user_days(segments: "np.ndarray", users: Tuple[str, ...]) -> List[UserDay]:
+    """The :class:`UserDay` records of a segment table, in table order.
+
+    Rows with the same address, prefix and AS share one
+    :class:`NetworkLocation`, as a sticky lease's segments do.
+    """
+    if not len(segments):
+        return []
+    user, day = segments["user"], segments["day"]
+    bounds = (
+        np.flatnonzero((user[1:] != user[:-1]) | (day[1:] != day[:-1])) + 1
+    ).tolist()
+    locations: Dict[tuple, NetworkLocation] = {}
+    prefixes: Dict[tuple, IPv4Prefix] = {}
+    stays: List[DaySegment] = []
+    for start, duration, ip, net, length, asn, cellular in zip(*(
+        segments[name].tolist()
+        for name in ("start", "duration", "ip", "net", "len", "asn", "cellular")
+    )):
+        key = (ip, net, length, asn)
+        location = locations.get(key)
+        if location is None:
+            prefix = prefixes.get((net, length))
+            if prefix is None:
+                prefix = prefixes[(net, length)] = IPv4Prefix(net, length)
+            location = locations[key] = NetworkLocation(
+                IPv4Address(ip), prefix, asn
+            )
+        stays.append(DaySegment(
+            location, start, duration, "cellular" if cellular else "wifi"
+        ))
+    return [
+        UserDay(users[user[a]], int(day[a]), stays[a:b])
+        for a, b in zip([0, *bounds], [*bounds, len(stays)])
+    ]
 
 
 def _weighted_choice(rng: random.Random, weights: Dict) -> object:
@@ -179,7 +222,7 @@ def _weighted_choice(rng: random.Random, weights: Dict) -> object:
 
 
 def _pick_carriers(
-    topology: ASTopology, region: str, count: int, rng: random.Random
+    topology: ASTopology, region: str, stubs: List[int], count: int
 ) -> List[AccessNetwork]:
     """Designate regional cellular carriers.
 
@@ -190,8 +233,8 @@ def _pick_carriers(
     AS hops apart (§6.3.2) even when, seen from a distant router, both
     are reached through the same upstream. Each attach draws from the
     whole carrier pool, which is what makes cellular addresses churn.
+    ``stubs`` are the region's stub ASes.
     """
-    stubs = topology.ases_in_region(region, Tier.STUB)
     ranked = sorted(
         stubs, key=lambda a: (-len(topology.ases[a].prefixes), a)
     )
@@ -209,11 +252,11 @@ def _pick_carriers(
 
 def _pick_stub_network(
     topology: ASTopology,
-    region: str,
+    stubs: List[int],
     rng: random.Random,
     under_provider: Optional[int] = None,
 ) -> AccessNetwork:
-    stubs = topology.ases_in_region(region, Tier.STUB)
+    """A sticky WiFi network in one of ``stubs``, a region's stub ASes."""
     if under_provider is not None:
         affiliated = [
             a for a in stubs if under_provider in topology.ases[a].providers
@@ -235,28 +278,29 @@ def generate_workload(
     ``mobility.generate.events`` adds the workload's IP-changing moves.
     """
     with obs.span("mobility.generate"):
-        profiles, user_days = _simulate(
+        profiles, segments = _simulate(
             topology, config or MobilityWorkloadConfig()
         )
-        obs.incr("mobility.generate.events",
-                 sum(1 for _ in _ip_changes(user_days)))
-    return MobilityWorkload(profiles, user_days, topology)
+        obs.incr("mobility.generate.events", len(segment_moves(segments)))
+    return MobilityWorkload(profiles, segments, topology)
 
 
 def _simulate(
     topology: ASTopology, cfg: MobilityWorkloadConfig
-) -> Tuple[List[UserProfile], List[UserDay]]:
-    """The population of ``cfg`` and its simulated user-days."""
+) -> Tuple[List[UserProfile], "np.ndarray"]:
+    """The population of ``cfg`` and its checked segment table."""
     rng = random.Random(cfg.seed)
 
+    stubs: Dict[str, List[int]] = {}
     carriers: Dict[str, List[AccessNetwork]] = {}
     venues: Dict[str, List[AccessNetwork]] = {}
     for region in sorted(cfg.region_weights):
+        stubs[region] = topology.ases_in_region(region, Tier.STUB)
         carriers[region] = _pick_carriers(
-            topology, region, cfg.carriers_per_region, rng
+            topology, region, stubs[region], cfg.carriers_per_region
         )
         venues[region] = [
-            _pick_stub_network(topology, region, rng)
+            _pick_stub_network(topology, stubs[region], rng)
             for _ in range(cfg.venues_per_region)
         ]
 
@@ -275,7 +319,7 @@ def _simulate(
             None
             if user_class is UserClass.CELLULAR_ONLY
             else _pick_stub_network(
-                topology, region, rng, under_provider=home_provider
+                topology, stubs[region], rng, under_provider=home_provider
             )
         )
         work_provider = (
@@ -283,7 +327,7 @@ def _simulate(
         )
         work = (
             _pick_stub_network(
-                topology, region, rng, under_provider=work_provider
+                topology, stubs[region], rng, under_provider=work_provider
             )
             if user_class is UserClass.WIFI_COMMUTER
             else None
@@ -319,7 +363,11 @@ def _simulate(
             )
         )
 
-    user_days: List[UserDay] = []
-    for profile in profiles:
-        user_days.extend(simulate_user_days(profile, cfg.num_days, rng))
-    return profiles, user_days
+    segments = segment_table(
+        (user, day, rows)
+        for user, profile in enumerate(profiles)
+        for day, rows in enumerate(
+            simulate_user_days(profile, cfg.num_days, rng)
+        )
+    )
+    return profiles, segments

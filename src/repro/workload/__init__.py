@@ -13,10 +13,12 @@ on demand.
 Layout
 ------
 :mod:`.columns`
+    :data:`~.columns.SEGMENT_DTYPE` — the layout of a mobility
+    workload's segment table, one row per stay — and
     :class:`DeviceEventColumns` — the device-mobility event table
-    (time/user/from_as/to_as plus addresses and covering prefixes),
-    round-trippable to the exact :class:`~repro.mobility.MobilityEvent`
-    list it was built from.
+    (time/user/from_as/to_as plus addresses and covering prefixes)
+    gathered from it, round-trippable to the exact
+    :class:`~repro.mobility.MobilityEvent` list.
 :mod:`.addrs`
     :class:`AddrsMatrix` — one name's ``Addrs(d, t)`` timeline as a
     change-hour vector plus a boolean membership matrix over the

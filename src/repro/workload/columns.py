@@ -1,13 +1,17 @@
-"""The device-mobility event table: one structured array, lazy views.
+"""The device-mobility tables: one structured array each, lazy views.
 
-:class:`DeviceEventColumns` holds every field of a
-:class:`~repro.mobility.MobilityEvent` — time, user, old/new address,
-covering prefix, and origin AS — as columns of one numpy structured
-array. The evaluators reduce over the event axis without materializing
-a single Python object; the object API remains available as lazy views
-(:meth:`DeviceEventColumns.event`, iteration, :meth:`to_events`) that
-reconstruct the *exact* original events, which the hypothesis
-round-trip test pins down.
+:data:`SEGMENT_DTYPE` is the layout of a mobility workload's segment
+table, one row per stay of a device at one network location. The event
+table is gathered from it: :class:`DeviceEventColumns` holds every
+field of a :class:`~repro.mobility.MobilityEvent` — time, user, old/new
+address, covering prefix, and origin AS — as columns of one numpy
+structured array, and :meth:`DeviceEventColumns.from_segments` fills
+it from the consecutive segment rows of one user-day whose address
+changes. The evaluators reduce over the event axis without
+materializing a single Python object; the object API remains available
+as lazy views (:meth:`DeviceEventColumns.event`, iteration,
+:meth:`to_events`) that reconstruct the *exact* original events, which
+the hypothesis round-trip test pins down.
 """
 
 from __future__ import annotations
@@ -18,7 +22,13 @@ from . import require_numpy
 
 np = require_numpy()
 
-__all__ = ["DeviceEventColumns", "EventColumns", "EVENT_DTYPE"]
+__all__ = [
+    "DeviceEventColumns",
+    "EventColumns",
+    "EVENT_DTYPE",
+    "SEGMENT_DTYPE",
+    "segment_moves",
+]
 
 #: One row per mobility event. ``user`` indexes the interned user-id
 #: table; addresses and prefix networks are the raw 32-bit values the
@@ -38,6 +48,36 @@ EVENT_DTYPE = np.dtype(
         ("new_asn", np.int64),
     ]
 )
+
+#: One row per stay of a device at one network location: the columns of
+#: a :class:`~repro.mobility.DaySegment` plus its user-day. ``user``
+#: indexes the workload's profiles; rows of one user-day are contiguous
+#: and in time order.
+SEGMENT_DTYPE = np.dtype(
+    [
+        ("user", np.int32),
+        ("day", np.int32),
+        ("start", np.float64),
+        ("duration", np.float64),
+        ("ip", np.uint32),
+        ("net", np.uint32),
+        ("len", np.uint8),
+        ("asn", np.int64),
+        ("cellular", np.bool_),
+    ]
+)
+
+
+def segment_moves(segments: "np.ndarray") -> "np.ndarray":
+    """Rows of a segment table whose next row is a move.
+
+    Row ``i`` is returned when row ``i + 1`` belongs to the same user
+    and day and holds another address: the pair is one mobility event.
+    """
+    user, day, ip = segments["user"], segments["day"], segments["ip"]
+    return np.flatnonzero(
+        (ip[1:] != ip[:-1]) & (user[1:] == user[:-1]) & (day[1:] == day[:-1])
+    )
 
 
 class EventColumns(NamedTuple):
@@ -108,6 +148,34 @@ class DeviceEventColumns:
         return cls(table, tuple(user_index))
 
     @classmethod
+    def from_segments(
+        cls, segments: "np.ndarray", users: Sequence[str]
+    ) -> "DeviceEventColumns":
+        """The events of a :data:`SEGMENT_DTYPE` table, gathered.
+
+        Each event is a pair of consecutive rows found by
+        :func:`segment_moves`, timed at the second row's start. Rows
+        keep table order, and users (``users[i]`` names table user
+        ``i``) are interned in order of first event.
+        """
+        old = segment_moves(segments)
+        new = old + 1
+        present, first, inverse = np.unique(
+            segments["user"][new], return_index=True, return_inverse=True
+        )
+        order = np.argsort(first, kind="stable")
+        rank = np.empty(len(order), dtype=np.int32)
+        rank[order] = np.arange(len(order))
+        table = np.empty(len(old), dtype=EVENT_DTYPE)
+        table["user"] = rank[inverse.reshape(-1)]
+        table["day"] = segments["day"][new]
+        table["hour"] = segments["start"][new]
+        for side, rows in (("old", old), ("new", new)):
+            for field in ("ip", "net", "len", "asn"):
+                table[f"{side}_{field}"] = segments[field][rows]
+        return cls(table, tuple(users[i] for i in present[order]))
+
+    @classmethod
     def empty(cls) -> "DeviceEventColumns":
         """A zero-event table."""
         return cls(np.empty(0, dtype=EVENT_DTYPE), ())
@@ -130,12 +198,6 @@ class DeviceEventColumns:
     def days(self) -> "np.ndarray":
         """Sorted distinct day indices with at least one event."""
         return np.unique(self.table["day"])
-
-    def day_slice(self, day: int) -> "DeviceEventColumns":
-        """The sub-table of events on ``day`` (row order preserved)."""
-        return DeviceEventColumns(
-            self.table[self.table["day"] == day], self.users
-        )
 
     # -- object views (lazy) -------------------------------------------
 

@@ -2,8 +2,9 @@
 
 ``src/`` keeps one implementation per hot path: the frontier-batched
 control plane, the vectorized evaluators, the batched convergence
-probes, the bitmask timeline builders and the hash-indexed address
-space. Their parity oracles live here, written the plain way:
+probes, the bitmask timeline builders, the hash-indexed address space
+and the segment-table mobility generator. Their parity oracles live
+here, written the plain way:
 
 :mod:`.addressing`
     Covering prefixes by binary-trie walk, and the per-address
@@ -26,6 +27,11 @@ space. Their parity oracles live here, written the plain way:
 :mod:`.content`
     The CDN and origin timeline builders that rebuilt an address set
     after every event, returning ``(hour, frozenset)`` change points.
+:mod:`.mobility`
+    The object simulator behind ``generate_workload``: each attach a
+    ``NetworkLocation``, each stay a checked ``DaySegment``, each day a
+    ``UserDay``, and the events as the consecutive segment pairs whose
+    address changes.
 
 The whole-suite regression oracle is ``tests/golden/digests-small.json``,
 checked by ``tests/test_golden_digests.py``.

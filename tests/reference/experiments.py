@@ -9,8 +9,8 @@ APIs (``candidate_routes``, ``InterdomainPortMap.port_for_address``,
 ``ContentPortMapper.best_port``, ``best_route_for_address`` and
 ``update_for_event``). Each function returns what its experiment's
 ``run`` returns for the same ``world``, which needs only ``oracle``,
-``topology``, ``routeviews``, ``device_events``,
-``workload.user_days`` and the two content measurements.
+``topology``, ``routeviews``, ``workload.user_days``,
+``workload.all_transitions()`` and the two content measurements.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ __all__ = [
 
 def policy_sensitivity(world) -> PolicySensitivityResult:
     """§3.2 policy rates: each policy's port per event, per router."""
-    events = world.device_events
+    events = world.workload.all_transitions()
     oracle = world.oracle
     topology = world.topology
     rates: Dict[str, Dict[str, float]] = {}
@@ -186,7 +186,7 @@ def ablation_multihoming(
         )
 
     single, events_single = single_attachment_updates(
-        world.routeviews, world.oracle, world.device_events
+        world.routeviews, world.oracle, world.workload.all_transitions()
     )
     best, flooding, events_multi = multihomed_updates(
         world.routeviews, world.oracle, timelines

@@ -391,8 +391,9 @@ def device_world(oracle, days=None):
         topology=oracle.topology,
         oracle=oracle,
         routeviews=device_routers(),
-        workload=SimpleNamespace(user_days=days),
-        device_events=events,
+        workload=SimpleNamespace(
+            user_days=days, all_transitions=lambda: events
+        ),
         device_event_columns=DeviceEventColumns.from_events(events),
     )
 

@@ -274,13 +274,21 @@ class TestArtifactCache:
 
 class TestWorldCache:
     def test_cold_then_warm_world_artifacts_match(self, tmp_path):
+        def same_events(world, other):
+            mine = world.device_event_columns
+            theirs = other.device_event_columns
+            return (mine.table.tobytes() == theirs.table.tobytes()
+                    and mine.users == theirs.users)
+
         cold = World(SMALL_SCALE, cache=ArtifactCache(str(tmp_path)))
         plain = World(SMALL_SCALE)
         assert cold.workload.user_days == plain.workload.user_days
+        assert same_events(cold, plain)
         assert cold.cache.misses > 0 and cold.cache.hits == 0
 
         warm = World(SMALL_SCALE, cache=ArtifactCache(str(tmp_path)))
         assert warm.workload.user_days == plain.workload.user_days
+        assert same_events(warm, plain)
         assert warm.cache.hits > 0 and warm.cache.misses == 0
 
     def test_warm_oracle_survives_runs(self, tmp_path):

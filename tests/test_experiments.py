@@ -35,7 +35,7 @@ class TestWorld:
         assert world.topology is world.topology
         assert world.oracle is world.oracle
         assert world.workload is world.workload
-        assert world.device_events is world.device_events
+        assert world.device_event_columns is world.device_event_columns
         assert world.universe is world.universe
 
     def test_scale_respected(self, world):

@@ -39,7 +39,7 @@ class TestHarnessMatchesEvaluators:
         via_harness = exp_fig8.run(world).report
         direct = DeviceUpdateCostEvaluator(
             world.routeviews, world.oracle
-        ).evaluate(world.device_events)
+        ).evaluate(world.workload.all_transitions())
         assert via_harness.rates == direct.rates
         assert via_harness.num_events == direct.num_events
 
@@ -58,7 +58,7 @@ class TestHarnessMatchesEvaluators:
         fresh = RoutingOracle(world.topology)
         direct = DeviceUpdateCostEvaluator(
             world.routeviews, fresh
-        ).evaluate(world.device_events)
+        ).evaluate(world.workload.all_transitions())
         assert direct.rates == exp_fig8.run(world).report.rates
 
 

@@ -140,17 +140,7 @@ class TestWorkloadStructure:
         classes = {p.user_class for p in workload.profiles}
         assert classes == set(UserClass)
 
-    def test_transitions_on_day_filter(self, workload):
-        day0 = workload.transitions_on_day(0)
-        assert day0
-        assert all(e.day == 0 for e in day0)
-
     def test_locations_have_known_origin(self, workload):
         topo = workload.topology
         for ev in workload.all_transitions()[:500]:
             assert topo.origin_of_address(ev.new.ip) == ev.new.asn
-
-    def test_days_of_user_ordered(self, workload):
-        days = workload.days_of(workload.profiles[0].user_id)
-        assert [d.day for d in days] == sorted(d.day for d in days)
-        assert len(days) == 14

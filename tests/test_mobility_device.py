@@ -1,4 +1,9 @@
-"""Tests for the behavioural device model."""
+"""Tests for the behavioural device model.
+
+The simulator emits rows; these tests read each attach as a
+``NetworkLocation`` and each day through the workload's ``UserDay``
+view of its segment table.
+"""
 
 import random
 
@@ -7,11 +12,27 @@ import pytest
 from repro.mobility import (
     AccessNetwork,
     HOURS_PER_DAY,
+    MobilityWorkload,
+    NetworkLocation,
     UserClass,
     UserProfile,
+    segment_table,
     simulate_user_day,
 )
-from repro.net import parse_prefix
+from repro.net import IPv4Address, parse_prefix
+
+
+def attach(net, rng):
+    """One attach of ``net``, as a ``NetworkLocation``."""
+    ip, prefix, asn = net.attach(rng)
+    return NetworkLocation(IPv4Address(ip), prefix, asn)
+
+
+def simulate_day(profile, day, rng, weekend=False):
+    """One simulated day, read through the workload's ``UserDay`` view."""
+    rows = simulate_user_day(profile, day, rng, weekend=weekend)
+    table = segment_table([(0, day, rows)])
+    return MobilityWorkload([profile], table, topology=None).user_days[0]
 
 
 def wifi_net(asn=100, prefix="10.0.0.0/16"):
@@ -45,28 +66,28 @@ class TestAccessNetwork:
     def test_sticky_lease_stable(self):
         net = wifi_net()
         rng = random.Random(1)
-        first = net.attach(rng)
+        first = attach(net, rng)
         for _ in range(10):
-            assert net.attach(rng) == first
+            assert attach(net, rng) == first
 
     def test_renew_lease_changes_address(self):
         net = wifi_net()
         rng = random.Random(1)
-        first = net.attach(rng)
+        first = attach(net, rng)
         net.renew_lease(rng)
-        second = net.attach(rng)
+        second = attach(net, rng)
         assert first != second  # astronomically unlikely to collide
 
     def test_cellular_attach_churns_ips(self):
         net = cell_net()
         rng = random.Random(2)
-        ips = {net.attach(rng).ip for _ in range(20)}
+        ips = {attach(net, rng).ip for _ in range(20)}
         assert len(ips) > 10
 
     def test_cellular_prefix_stickiness(self):
         net = cell_net()
         rng = random.Random(3)
-        locs = [net.attach(rng) for _ in range(50)]
+        locs = [attach(net, rng) for _ in range(50)]
         same = sum(
             1 for a, b in zip(locs, locs[1:]) if a.prefix == b.prefix
         )
@@ -77,7 +98,7 @@ class TestAccessNetwork:
         net = cell_net()
         rng = random.Random(4)
         for _ in range(20):
-            location = net.attach(rng)
+            location = attach(net, rng)
             assert location.asn == 200
             assert location.prefix in net.prefixes
             assert location.prefix.contains(location.ip)
@@ -89,7 +110,7 @@ class TestSimulatedDays:
         p = profile(cls, home=None if cls is UserClass.CELLULAR_ONLY else wifi_net())
         rng = random.Random(5)
         for day in range(10):
-            ud = simulate_user_day(p, day, rng)
+            ud = simulate_day(p, day, rng)
             total = sum(s.duration_hours for s in ud.segments)
             assert total == pytest.approx(HOURS_PER_DAY)
 
@@ -99,7 +120,7 @@ class TestSimulatedDays:
         home_asn = p.home.asn
         fractions = []
         for day in range(30):
-            ud = simulate_user_day(p, day, rng)
+            ud = simulate_day(p, day, rng)
             home_hours = sum(
                 s.duration_hours for s in ud.segments if s.location.asn == home_asn
             )
@@ -109,7 +130,7 @@ class TestSimulatedDays:
     def test_cellular_commuter_day_shape(self):
         p = profile(UserClass.CELLULAR_COMMUTER)
         rng = random.Random(7)
-        ud = simulate_user_day(p, 0, rng, weekend=False)
+        ud = simulate_day(p, 0, rng, weekend=False)
         types = [s.net_type for s in ud.segments]
         assert types[0] == "wifi"
         assert types[-1] == "wifi"
@@ -121,7 +142,7 @@ class TestSimulatedDays:
         work_asn = p.work.asn
         weekend_work_hours = 0.0
         for day in range(20):
-            ud = simulate_user_day(p, day, rng, weekend=True)
+            ud = simulate_day(p, day, rng, weekend=True)
             weekend_work_hours += sum(
                 s.duration_hours for s in ud.segments if s.location.asn == work_asn
             )
@@ -132,14 +153,14 @@ class TestSimulatedDays:
         rng = random.Random(9)
         seen = set()
         for day in range(10):
-            ud = simulate_user_day(p, day, rng, weekend=False)
+            ud = simulate_day(p, day, rng, weekend=False)
             seen |= {s.location.asn for s in ud.segments}
         assert {p.home.asn, p.work.asn, p.cellular.asn} <= seen
 
     def test_nomad_flaps_heavily(self):
         p = profile(UserClass.NOMAD, attach_period_hours=0.8, activity=1.5)
         rng = random.Random(10)
-        ud = simulate_user_day(p, 0, rng)
+        ud = simulate_day(p, 0, rng)
         ips = {s.location.ip for s in ud.segments}
         assert len(ips) >= 8
 
@@ -147,7 +168,7 @@ class TestSimulatedDays:
         p = profile(UserClass.CELLULAR_ONLY, home=None, venues=[])
         rng = random.Random(11)
         for day in range(5):
-            ud = simulate_user_day(p, day, rng)
+            ud = simulate_day(p, day, rng)
             assert all(s.location.asn == p.cellular.asn for s in ud.segments)
 
     def test_home_lease_churn(self):
@@ -155,7 +176,7 @@ class TestSimulatedDays:
         rng = random.Random(12)
         ips = set()
         for day in range(8):
-            ud = simulate_user_day(p, day, rng)
+            ud = simulate_day(p, day, rng)
             ips |= {
                 s.location.ip for s in ud.segments if s.location.asn == p.home.asn
             }
@@ -164,6 +185,6 @@ class TestSimulatedDays:
     def test_deterministic_given_seed(self):
         p1 = profile(UserClass.CELLULAR_COMMUTER)
         p2 = profile(UserClass.CELLULAR_COMMUTER)
-        d1 = simulate_user_day(p1, 0, random.Random(13))
-        d2 = simulate_user_day(p2, 0, random.Random(13))
+        d1 = simulate_day(p1, 0, random.Random(13))
+        d2 = simulate_day(p2, 0, random.Random(13))
         assert [s.location for s in d1.segments] == [s.location for s in d2.segments]

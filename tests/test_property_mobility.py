@@ -1,8 +1,9 @@
 """Property-based tests: invariants of the behavioural device model.
 
 Hypothesis drives the simulator with arbitrary (valid) profile
-parameters; every generated day must satisfy the structural invariants
-the statistics layer depends on.
+parameters; every generated day, read through the workload's
+``UserDay`` view of its segment table, must satisfy the structural
+invariants the statistics layer depends on.
 """
 
 import random
@@ -13,12 +14,21 @@ from hypothesis import strategies as st
 from repro.mobility import (
     HOURS_PER_DAY,
     AccessNetwork,
+    MobilityWorkload,
     UserClass,
     UserProfile,
     day_stats,
+    segment_table,
     simulate_user_day,
 )
 from repro.net import IPv4Prefix
+
+
+def simulate_day(profile, day, rng, weekend=False):
+    """One simulated day, read through the workload's ``UserDay`` view."""
+    rows = simulate_user_day(profile, day, rng, weekend=weekend)
+    table = segment_table([(0, day, rows)])
+    return MobilityWorkload([profile], table, topology=None).user_days[0]
 
 
 def wifi(asn, index):
@@ -65,8 +75,8 @@ class TestDayInvariants:
            st.integers(0, 2**31))
     def test_day_structurally_valid(self, profile, day, weekend, seed):
         rng = random.Random(seed)
-        user_day = simulate_user_day(profile, day, rng, weekend=weekend)
-        # UserDay's own validator enforces contiguity/coverage; check
+        user_day = simulate_day(profile, day, rng, weekend=weekend)
+        # The segment table's checks enforce contiguity/coverage; check
         # the derived stats invariants on top.
         stats = day_stats(user_day)
         assert stats.distinct_ips >= stats.distinct_prefixes >= (
@@ -84,7 +94,7 @@ class TestDayInvariants:
     @given(profile_strategy, st.integers(0, 2**31))
     def test_locations_come_from_profile_networks(self, profile, seed):
         rng = random.Random(seed)
-        user_day = simulate_user_day(profile, 0, rng)
+        user_day = simulate_day(profile, 0, rng)
         allowed = {profile.cellular.asn}
         if profile.home:
             allowed.add(profile.home.asn)
@@ -100,10 +110,10 @@ class TestDayInvariants:
     def test_same_seed_same_day(self, profile, seed):
         import copy
 
-        day_a = simulate_user_day(
+        day_a = simulate_day(
             copy.deepcopy(profile), 0, random.Random(seed)
         )
-        day_b = simulate_user_day(
+        day_b = simulate_day(
             copy.deepcopy(profile), 0, random.Random(seed)
         )
         assert [s.location for s in day_a.segments] == [
@@ -114,6 +124,6 @@ class TestDayInvariants:
     @given(profile_strategy, st.integers(0, 2**31))
     def test_transition_count_matches_events(self, profile, seed):
         rng = random.Random(seed)
-        user_day = simulate_user_day(profile, 0, rng)
+        user_day = simulate_day(profile, 0, rng)
         stats = day_stats(user_day)
         assert len(user_day.transitions()) == stats.ip_transitions

@@ -127,11 +127,9 @@ class TestBatchAccessors:
         for view in cols:
             assert view.base is columns.table
 
-    def test_days_and_day_slice(self):
-        events, columns = self._columns()
+    def test_days(self):
+        _, columns = self._columns()
         assert columns.days().tolist() == [0, 1]
-        day0 = columns.day_slice(0)
-        assert day0.to_events() == [e for e in events if e.day == 0]
 
     def test_slicing_returns_columns(self):
         events, columns = self._columns()
