@@ -15,8 +15,8 @@ in one row-indexed store that bulk readers gather from. The dict
 sweep and the one-destination array sweep survive as the parity
 tests' references (``tests/reference/routing.py``).
 
-Bit-identical parity with the dict sweep rests on three provable
-tiebreak reductions:
+Bit-identical parity with the dict sweep rests on four provable
+reductions, three of them tiebreaks:
 
 * **Stage 1 (customer routes up provider links).** All candidates at
   one BFS level have equal length, so the lexicographic path tiebreak
@@ -32,6 +32,15 @@ tiebreak reductions:
   parent ASN, so the winner is the minimum parent ASN in the level.
   The dict sweep's loop-prevention test (``asn in path[1:]``) is provably
   redundant — every AS on a finalized path is already routed.
+* **Leaf fold.** A leaf — an AS with a provider and neither customers
+  nor peers — is never reached toward another destination in stage 1
+  (it is nobody's provider) or stage 2 (it has no peers), and expands
+  to no one in stage 3, so no other AS's route passes through it.
+  Stage 3 therefore runs over the customer edges into non-leaves only,
+  and each leaf then takes what stage 3 would have given it from its
+  providers' final routes: the shortest, ties to the lowest provider
+  ASN, one hop longer, with that provider as parent and the provider's
+  entry AS (the leaf itself when the provider is the destination).
 
 Full :class:`~repro.routing.bgp.BestPath` tuples are reconstructed by
 following parent chains in path-length order, so the dict API and all
@@ -82,6 +91,12 @@ VECTORS = {"ptype": np.int8, "plen": np.int32, "parent": np.int32,
 #: that a sweep's state (about 13 bytes per destination per AS, plus
 #: its frontier expansions) stays a few MB at ~2k ASes.
 BLOCK = 256
+
+#: Leaf cells (destination row × leaf) one step of the leaf fold settles.
+#: Its int64 buffers then hold 0.5 MB each and stay in cache: on the
+#: benchmark's 2,124-AS Internet that halves the fold's time against
+#: settling a whole :data:`BLOCK` of rows at once.
+FOLD_CELLS = 1 << 16
 
 #: Preference order of the relationship rule (mirrors ranking._REL_RANK).
 _REL_RANK = {
@@ -134,6 +149,15 @@ class CSRTopology:
     ASN" tiebreak become a plain integer minimum. Neighbor lists are
     sorted, matching the deterministic iteration order of the dict
     sweep.
+
+    A *leaf* is an AS with a provider and neither customers nor peers
+    (every stub the generator builds). :func:`route_arrays` leaves them
+    out of its stage-3 BFS, which expands only ``stage3_indptr`` /
+    ``stage3_indices`` (the customer edges into non-leaves), and settles
+    them from their providers' columns: ``leaf_sources`` holds every
+    node that is some leaf's provider, ascending, and row ``j`` of
+    ``leaf_runs`` the position in it of each leaf's ``j``-th provider,
+    or of its first when it has fewer than ``j + 1``.
     """
 
     def __init__(self, buffers: Dict[str, "np.ndarray"]):
@@ -147,6 +171,23 @@ class CSRTopology:
         self.n = len(self.asns)
         #: ASNs as plain Python ints, for tuple-building hot loops.
         self.asn_list: List[int] = [int(a) for a in self.asns]
+
+        providers = np.diff(self.prov_indptr)
+        self.leaf = ((providers > 0) & (np.diff(self.cust_indptr) == 0)
+                     & (np.diff(self.peer_indptr) == 0))
+        self.leaves = np.nonzero(self.leaf)[0]
+        carries = ~self.leaf[self.cust_indices]
+        self.stage3_indices = self.cust_indices[carries]
+        self.stage3_indptr = np.concatenate(
+            ([0], np.cumsum(carries)))[self.cust_indptr]
+        counts = providers[self.leaves]
+        width = int(counts.max()) if counts.size else 0
+        slots = self.prov_indptr[self.leaves] + np.minimum(
+            np.arange(width)[:, None], counts - 1)
+        self.leaf_sources, runs = np.unique(
+            self.prov_indices[slots].astype(np.int64).ravel(),
+            return_inverse=True)
+        self.leaf_runs = runs.reshape(slots.shape)
 
     @classmethod
     def from_topology(cls, topology: ASTopology) -> "CSRTopology":
@@ -176,13 +217,6 @@ class CSRTopology:
             "peer_indptr": peer_indptr, "peer_indices": peer_indices,
         })
 
-    def index_of(self, asn: int) -> int:
-        """The node index of ``asn`` (raises KeyError if unknown)."""
-        i = int(np.searchsorted(self.asns, asn))
-        if i >= self.n or int(self.asns[i]) != asn:
-            raise KeyError(f"unknown AS{asn}")
-        return i
-
     def indices_of(self, asns: Sequence[int]) -> "np.ndarray":
         """Node indices for a batch of ASNs (all must exist)."""
         values = np.asarray(asns, dtype=np.int64)
@@ -209,6 +243,8 @@ def route_arrays(csr: CSRTopology, dest_idx):
     Every BFS level expands the whole block's frontier at once, and
     one :func:`_group_min` picks each newly routed state's parent.
     Rows never interact: a state's neighbors lie in its own row.
+    Leaves (see :class:`CSRTopology`) stay out of the BFS, and
+    :func:`_fold_leaves` settles their columns from their providers'.
     """
     n = csr.n
     dest_idx = np.asarray(dest_idx, dtype=np.int64)
@@ -265,13 +301,14 @@ def route_arrays(csr: CSRTopology, dest_idx):
         via = won - won % n + (keys & ((1 << node_bits) - 1))
         settle(won, via, PEER, (keys >> node_bits) + 1)
 
-    # Stage 3 — provider routes down customer links: level-synchronous
-    # BFS on total path length (multi-source Dijkstra, unit weights);
-    # the winning parent at a level is the minimum parent node id.
+    # Stage 3 — provider routes down customer links into non-leaves:
+    # level-synchronous BFS on total path length (multi-source
+    # Dijkstra, unit weights); the winning parent at a level is the
+    # minimum parent node id.
     length, max_len = 1, int(plen.max())
     while length <= max_len:
         frontier = np.nonzero(plen == length)[0]
-        sources, targets = _expand(csr.cust_indptr, csr.cust_indices,
+        sources, targets = _expand(csr.stage3_indptr, csr.stage3_indices,
                                    frontier, n)
         fresh = ptype[targets] == UNREACHED
         if fresh.any():
@@ -281,8 +318,61 @@ def route_arrays(csr: CSRTopology, dest_idx):
         length += 1
 
     shape = (dest_idx.size, n)
-    return (ptype.reshape(shape), plen.reshape(shape),
-            parent.reshape(shape), entry.reshape(shape))
+    tables = (ptype.reshape(shape), plen.reshape(shape),
+              parent.reshape(shape), entry.reshape(shape))
+    _fold_leaves(csr, *tables)
+    # The fold also wrote the columns of the block's leaf destinations.
+    leaf_origins = origins[csr.leaf[dest_idx]]
+    ptype[leaf_origins] = ORIGIN
+    plen[leaf_origins] = 1
+    parent[leaf_origins] = entry[leaf_origins] = -1
+    return tables
+
+
+def _fold_leaves(csr: CSRTopology, ptype, plen, parent, entry) -> None:
+    """Settle every leaf column of ``(rows, n)`` tables in place.
+
+    No route passes through a leaf, so its providers' routes are final
+    when stages 1–3 end, and stage 3 would have given it the shortest of
+    them, ties to the lowest provider id. One integer per (row, leaf
+    provider) orders the candidates that way — length, then provider
+    id, then the entry node a leaf inherits, plus one so that the
+    origin's -1 reads 0 — and its minimum over each leaf's provider
+    run is the leaf's route. The three fields fit in an int64 while
+    ``csr.n < 2 ** 21``. Rows are settled :data:`FOLD_CELLS` leaf
+    cells at a time.
+    """
+    leaves = csr.leaves
+    if not leaves.size:
+        return
+    bits = csr.n.bit_length()
+    mask = (1 << bits) - 1
+    sources = csr.leaf_sources
+    unrouted = np.iinfo(np.int64).max
+    step = max(1, FOLD_CELLS // leaves.size)
+    for start in range(0, len(plen), step):
+        rows = slice(start, start + step)
+        held = plen[rows, sources].astype(np.int64)
+        keys = ((held << 2 * bits) | (sources << bits)
+                | (entry[rows, sources] + 1))
+        keys[held == 0] = unrouted
+        best = keys[:, csr.leaf_runs[0]]
+        for run in csr.leaf_runs[1:]:
+            np.minimum(best, keys[:, run], out=best)
+        lost = best == unrouted
+        ptype[rows, leaves] = np.where(lost, np.int8(UNREACHED),
+                                       np.int8(PROVIDER))
+        length = (best >> 2 * bits).astype(np.int32) + 1
+        length[lost] = 0
+        plen[rows, leaves] = length
+        via = ((best >> bits) & mask).astype(np.int32)
+        via[lost] = -1
+        parent[rows, leaves] = via
+        inherited = (best & mask).astype(np.int32) - 1
+        # -1 where the provider is the origin: the leaf is its own entry.
+        np.copyto(inherited, leaves, where=inherited < 0)
+        inherited[lost] = -1
+        entry[rows, leaves] = inherited
 
 
 class RouteTableBatch:

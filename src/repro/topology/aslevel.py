@@ -221,10 +221,6 @@ class ASTopology:
             if node.region == region and (tier is None or node.tier == tier)
         )
 
-    def tier_of(self, asn: int) -> Tier:
-        """The tier of ``asn``."""
-        return self.ases[asn].tier
-
     # -- address space ---------------------------------------------------
 
     def covering(self, value: int) -> Optional[Tuple[IPv4Prefix, int]]:

@@ -202,11 +202,6 @@ class Graph:
                     counter += 1
         return dist, parent
 
-    def weighted_distance(self, u: Node, v: Node) -> Optional[float]:
-        """Weighted shortest-path distance (None if disconnected)."""
-        dist, _ = self.dijkstra(u)
-        return dist.get(v)
-
     def shortest_path(self, u: Node, v: Node) -> Optional[List[Node]]:
         """A weighted shortest path from ``u`` to ``v`` as a node list."""
         dist, parent = self.dijkstra(u)

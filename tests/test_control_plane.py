@@ -43,6 +43,7 @@ from repro.routing import RoutingOracle, VantagePoint, frontier
 from repro.topology import (
     ASNode,
     ASTopology,
+    ASTopologyConfig,
     Relationship,
     Tier,
     binary_tree_topology,
@@ -60,7 +61,7 @@ from .reference.routing import (
     compute_routes,
     next_hop_table,
 )
-from .test_property_routing import random_internet
+from .test_property_routing import leafy_internet, random_internet
 
 
 class TestRoutesToManyParity:
@@ -90,7 +91,7 @@ def _assert_same_tables(batch, csr):
     """Every row of ``batch`` equals the one-destination array sweep,
     on all four vectors and their dtypes."""
     for d, dest in enumerate(batch.dests.tolist()):
-        expected = compute_route_arrays(csr, csr.index_of(dest))
+        expected = compute_route_arrays(csr, csr.indices_of([dest])[0])
         for name, want in zip(frontier.VECTORS, expected):
             got = getattr(batch, name)[d]
             assert got.dtype == want.dtype, (dest, name)
@@ -161,6 +162,64 @@ class TestBlockSweepParity:
         distinct = {dest for _many, dests in requests for dest in dests}
         assert metrics.counters["routing.batch.dests"] == len(distinct)
         assert oracle.frontier_engine().table_cache_size == len(distinct)
+
+
+class TestLeafFold:
+    """Leaves leave the stage-3 BFS and take their routes from their
+    providers' columns.
+
+    Giving a tie to the highest provider id, dropping the origin cell
+    of a leaf destination, or folding a stub that has a peer each fails
+    the hypothesis test.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(leafy_internet(),
+           st.sampled_from([frontier.BLOCK, 1, 2, 3, 4]),
+           st.sampled_from([frontier.FOLD_CELLS, 1, 20]))
+    def test_fold_equals_references(self, topo, block, cells):
+        # A FOLD_CELLS below the leaf count folds one row a step.
+        asns = sorted(topo.ases)
+        oracle = RoutingOracle(topo)
+        with mock.patch.object(frontier, "BLOCK", block), \
+                mock.patch.object(frontier, "FOLD_CELLS", cells):
+            batch = oracle.routes_to_many(asns)
+        csr = oracle.frontier_engine().csr
+        assert csr.leaf.tolist() == [
+            bool(node.providers and not node.customers and not node.peers)
+            for node in map(topo.ases.get, asns)
+        ]
+        _assert_same_tables(batch, csr)
+        for dest in asns:
+            assert_same_routes(batch.materialize(dest),
+                               compute_routes(topo, dest), dest)
+
+    def test_bench_internet_cold_sweep(self):
+        # The benchmark's 2,124-AS Internet: its 1,980 stubs are leaves,
+        # its ASNs put the 144 T1s and T2s first, and a cold request
+        # for every AS sweeps nine blocks.
+        topo = generate_as_topology(ASTopologyConfig(
+            t2_per_region=12, stubs_per_region=180,
+            prefixes_per_stub=(1, 1), prefixes_per_t2=(2, 3),
+            prefixes_per_t1=(2, 4), seed=2014,
+        ))
+        oracle = RoutingOracle(topo)
+        metrics = obs.Metrics()
+        with obs.using(metrics):
+            batch = oracle.routes_to_many(sorted(topo.ases))
+        assert metrics.counters["routing.batch.dests"] == len(topo) == 2124
+        csr = oracle.frontier_engine().csr
+        dests = np.union1d(np.linspace(0, csr.n - 1, 56).astype(np.int64),
+                           np.nonzero(~csr.leaf)[0][::18])
+        assert 60 <= dests.size <= 64
+        assert set(dests // frontier.BLOCK) == set(range(9))
+        assert csr.leaf[dests].any() and not csr.leaf[dests].all()
+        for d in dests.tolist():
+            for name, want in zip(frontier.VECTORS,
+                                  compute_route_arrays(csr, d)):
+                got = getattr(batch, name)[d]
+                assert got.dtype == want.dtype, (d, name)
+                assert np.array_equal(got, want), (d, name)
 
 
 def _attach_prefixes(topo):

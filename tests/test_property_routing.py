@@ -67,6 +67,55 @@ def random_internet(draw):
     return topo
 
 
+@st.composite
+def leafy_internet(draw):
+    """A tiered AS topology in one or two disconnected components, with
+    ASNs shuffled across tiers, built around the leaves the route sweep
+    folds (ASes with a provider and neither customers nor peers).
+
+    Stubs buy transit from 1–3 providers among their component's T2s
+    and T1s; some stubs peer with a stub, T2 or T1 (and so are not
+    leaves); T2s and T1s need not have customers; and a leaf's
+    providers are unreached from the other component's destinations.
+    """
+    sizes = draw(st.lists(
+        st.tuples(st.integers(1, 3), st.integers(0, 4), st.integers(1, 8)),
+        min_size=1, max_size=2,
+    ))
+    asns = iter(draw(st.permutations(
+        range(10, 10 + sum(map(sum, sizes))))))
+    topo = ASTopology()
+
+    def add(count, tier):
+        members = []
+        for _ in range(count):
+            asn = next(asns)
+            topo.add_as(ASNode(asn, tier, _REGIONS[asn % len(_REGIONS)]))
+            members.append(asn)
+        return members
+
+    for n_t1, n_t2, n_stub in sizes:
+        t1s = add(n_t1, Tier.T1)
+        t2s = add(n_t2, Tier.T2)
+        stubs = add(n_stub, Tier.STUB)
+        for i, a in enumerate(t1s):
+            for b in t1s[i + 1:]:
+                topo.add_peering(a, b)
+        for t2 in t2s:
+            for p in draw(st.sets(st.sampled_from(t1s), min_size=1)):
+                topo.add_customer_provider(t2, p)
+        for stub in stubs:
+            for p in draw(st.sets(st.sampled_from(t2s + t1s), min_size=1,
+                                  max_size=3)):
+                topo.add_customer_provider(stub, p)
+        for stub in stubs:
+            if draw(st.integers(0, 2)) == 0:
+                peer = draw(st.sampled_from(stubs + t2s + t1s))
+                if peer != stub and not topo.are_adjacent(stub, peer):
+                    topo.add_peering(stub, peer)
+    return topo
+
+
 def is_valley_free(topo, path):
     seen_peer_or_down = False
     peers = 0
