@@ -1,20 +1,19 @@
 #!/usr/bin/env python3
-"""Device mobility study: from NomadLog-style logs to router update cost.
+"""Device mobility study: from a NomadLog-style trace to router update cost.
 
 Walks the paper's full device pipeline on a small scale:
 
-1. generate a synthetic Internet and a NomadLog-calibrated population;
-2. run the NomadLog app simulator (connectivity events, batched
-   uploads, short-user filtering) and show a few database rows;
-3. summarise per-user mobility (Figs. 6/7/9 statistics);
-4. evaluate the update cost of pure name-based routing at the twelve
+1. generate a synthetic Internet and a NomadLog-calibrated population,
+   whose trace is one segment table (a row per stay at an address);
+2. summarise per-user mobility (Figs. 6/7 statistics) from that table;
+3. evaluate the update cost of pure name-based routing at the twelve
    RouteViews routers (Fig. 8) and compare the most and least affected.
 
 Run:  python examples/device_mobility_study.py
 """
 
 from repro.core import DeviceUpdateCostEvaluator
-from repro.measurement import build_routeviews_routers, collect_logs
+from repro.measurement import build_routeviews_routers
 from repro.mobility import (
     MobilityWorkloadConfig,
     generate_workload,
@@ -33,24 +32,12 @@ def main() -> None:
     )
     print(
         f"   {len(topology)} ASes; {workload.num_users()} users x 5 days; "
+        f"{len(workload.segments)} stays, "
         f"{len(workload.all_transitions())} mobility events.\n"
     )
 
-    print("2. Running the NomadLog app pipeline (§4)...")
-    database = collect_logs(workload, seed=7)
-    device = database.devices()[0]
-    rows = database.rows_for(device)[:4]
-    print(f"   {len(database.devices())} devices uploaded logs; sample rows:")
-    print("   device_id        | hours | ip             | net")
-    for row in rows:
-        print(
-            f"   {row.device_id} | {row.time_hours:5.1f} | "
-            f"{row.ip_addr:14s} | {row.net_type}"
-        )
-    print()
-
-    print("3. Per-user mobility statistics (Figs. 6-7)...")
-    averages = user_averages(workload.user_days)
+    print("2. Per-user mobility statistics (Figs. 6-7)...")
+    averages = user_averages(workload.segments, workload.user_ids)
     ips = [u.avg_distinct_ips for u in averages]
     ases = [u.avg_distinct_ases for u in averages]
     print(
@@ -60,7 +47,7 @@ def main() -> None:
         f"exceed 10 IPs/day.\n"
     )
 
-    print("4. Update cost of pure name-based routing (Fig. 8)...")
+    print("3. Update cost of pure name-based routing (Fig. 8)...")
     oracle = RoutingOracle(topology)
     routers = build_routeviews_routers(topology)
     report = DeviceUpdateCostEvaluator(routers, oracle).evaluate(

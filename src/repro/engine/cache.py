@@ -76,7 +76,9 @@ __all__ = [
 #:    instead of a binary origin trie.
 #: 7: mobility workloads pickle one segment table instead of their
 #:    ``UserDay`` objects.
-GENERATOR_VERSION = 7
+#: 8: mobility workloads lose their ``_user_days`` view slot; every
+#:    reader reduces the segment table.
+GENERATOR_VERSION = 8
 
 #: On-disk entry container version (header format, not payload).
 ENTRY_VERSION = 3

@@ -15,6 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List
 
+import numpy as np
+
 from ..core import (
     DeviceUpdateCostEvaluator,
     ForwardingStrategy,
@@ -57,19 +59,23 @@ def run(
 ) -> MultihomingResult:
     """Evaluate single- vs multi-attachment device tracking."""
     rng = random.Random(seed)
-    workload = world.workload
-    by_user: Dict[str, List] = {}
-    for user_day in workload.user_days:
-        by_user.setdefault(user_day.user_id, []).append(user_day)
+    segments = world.workload.segments
+    users = world.workload.user_ids
+    # Each user's rows, in table order.
+    table = segments[np.argsort(segments["user"], kind="stable")]
+    starts = np.flatnonzero(np.diff(table["user"], prepend=-1))
+    by_user = {
+        users[rows["user"][0]]: rows for rows in np.split(table, starts)[1:]
+    }
 
     timelines: List[MultihomedTimeline] = []
     dual_count = 0
     for user_id in sorted(by_user):
         dual = rng.random() < dual_radio_prob
         dual_count += int(dual)
-        timelines.append(
-            build_multihomed_timeline(by_user[user_id], dual_radio=dual)
-        )
+        timelines.append(build_multihomed_timeline(
+            user_id, by_user[user_id], dual_radio=dual
+        ))
 
     # Single attachment baseline: classic Fig. 8 displacement.
     evaluator = DeviceUpdateCostEvaluator(world.routeviews, world.oracle)

@@ -17,18 +17,20 @@ device-specific entry for that user.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
+
+import numpy as np
 
 from ..core.displacement import displaced, prefix_ids
 from ..engine import Series, register
-from ..mobility import HOURS_PER_DAY
+from ..mobility import HOURS_PER_DAY, residence, user_day_runs
 from ..obs import PaperTarget, PerfBudget
 from ..stats import median, sequential_sum
 from .context import World
 from .report import banner, render_table
 
-__all__ = ["FibSizeResult", "run", "format_result", "series",
-           "PAPER_TARGETS", "PERF_BUDGETS", "target_values"]
+__all__ = ["FibSizeResult", "dominant_addresses", "run", "format_result",
+           "series", "PAPER_TARGETS", "PERF_BUDGETS", "target_values"]
 
 #: The paper's envelope says ~1% of devices displaced per router; our
 #: direct time-weighted measurement runs hotter (the synthetic
@@ -78,6 +80,18 @@ class FibSizeResult:
         return median(list(self.displaced_fraction.values()))
 
 
+def dominant_addresses(
+    segments: "np.ndarray",
+) -> Tuple["np.ndarray", "np.ndarray"]:
+    """``(dominant, day)``: each user-day's dominant address, each row's day.
+
+    The dominant address is the one with the most hours over the day
+    (§6.3.1's definition), the first seen winning a tie.
+    """
+    stays = residence(segments, segments["ip"])
+    return stays.key[stays.dominant(stays.first)], user_day_runs(segments)
+
+
 @register(
     "fib-size",
     description="§6.2 device FIB-size measurement",
@@ -87,23 +101,15 @@ class FibSizeResult:
 )
 def run(world: World) -> FibSizeResult:
     """Measure time-weighted displacement per router."""
-    # One row per segment: its address, its day's dominant address and
-    # its duration. The dominant address is the one with the most hours
-    # over the day (§6.3.1's definition); the first seen wins a tie.
-    here, home, durations = [], [], []
-    for user_day in world.workload.user_days:
-        hours_by_ip: Dict[int, float] = {}
-        for segment in user_day.segments:
-            ip = segment.location.ip.value
-            hours_by_ip[ip] = hours_by_ip.get(ip, 0.0) + segment.duration_hours
-        dominant = max(hours_by_ip, key=hours_by_ip.__getitem__)
-        for segment in user_day.segments:
-            here.append(segment.location.ip.value)
-            home.append(dominant)
-            durations.append(segment.duration_hours)
-    prefixes, ids = prefix_ids(world.topology, here + home)
+    # Each segment's address against its day's dominant address.
+    segments = world.workload.segments
+    here = segments["ip"]
+    dominant, day = dominant_addresses(segments)
+    home = dominant[day]
+    prefixes, ids = prefix_ids(world.topology, np.concatenate([here, home]))
     here_ids, home_ids = ids[:len(here)], ids[len(here):]
-    total_hours = float(HOURS_PER_DAY * len(world.workload.user_days))
+    durations = segments["duration"].tolist()
+    total_hours = float(HOURS_PER_DAY * len(dominant))
     displaced_hours = {}
     for router in world.routeviews:
         ports = router.next_hop_table(world.oracle, prefixes)
@@ -116,7 +122,7 @@ def run(world: World) -> FibSizeResult:
     }
     return FibSizeResult(
         displaced_fraction=fractions,
-        user_days=len(world.workload.user_days),
+        user_days=len(dominant),
     )
 
 

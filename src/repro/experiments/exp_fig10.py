@@ -12,14 +12,16 @@ ASes away from the home AS".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
+
+import numpy as np
 
 from ..engine import Series, register
-from ..mobility import day_stats, percentile
+from ..mobility import percentile, residence
 from .context import World
 from .report import banner, render_cdf_summary
 
-__all__ = ["Fig10Result", "run", "format_result", "series"]
+__all__ = ["Fig10Result", "home_visits", "run", "format_result", "series"]
 
 
 @dataclass
@@ -45,6 +47,24 @@ class Fig10Result:
         return percentile(self.physical_hops, 0.5)
 
 
+def home_visits(segments: "np.ndarray") -> List[Tuple[int, int]]:
+    """Every (home AS, visited AS) pair of a segment table.
+
+    A user-day's home is the AS where it spends the most hours, a tie
+    going to the lowest ASN; its other ASes follow in first-seen order,
+    and the user-days in table order.
+    """
+    stays = residence(segments, segments["asn"])
+    homes = stays.key[stays.dominant(stays.key)]
+    visits = np.argsort(stays.first)
+    return [
+        (home, asn)
+        for home, asn in zip(homes[stays.day[visits]].tolist(),
+                             stays.key[visits].tolist())
+        if asn != home
+    ]
+
+
 @register(
     "fig10",
     description="Fig. 10: displacement from home",
@@ -61,23 +81,18 @@ def run(world: World) -> Fig10Result:
     total = answered = 0
     # Home AS -> physical-graph hop distances from it: one BFS a home.
     hops_from = {}
-    for user_day in world.workload.user_days:
-        stats = day_stats(user_day)
-        home = stats.dominant_asn
-        for asn in stats.hours_by_asn:
-            if asn == home:
-                continue
-            total += 1
-            prediction = predictor.predict_as(home, asn)
-            if prediction is not None:
-                answered += 1
-                delays.append(prediction.latency_ms)
-                predicted_hops.append(prediction.as_hops)
-            if home not in hops_from:
-                hops_from[home] = world.topology.shortest_as_hops(home)
-            hops = hops_from[home].get(asn)
-            if hops is not None:
-                physical.append(hops)
+    for home, asn in home_visits(world.workload.segments):
+        total += 1
+        prediction = predictor.predict_as(home, asn)
+        if prediction is not None:
+            answered += 1
+            delays.append(prediction.latency_ms)
+            predicted_hops.append(prediction.as_hops)
+        if home not in hops_from:
+            hops_from[home] = world.topology.shortest_as_hops(home)
+        hops = hops_from[home].get(asn)
+        if hops is not None:
+            physical.append(hops)
     return Fig10Result(
         total_pairs=total,
         answered_pairs=answered,

@@ -19,7 +19,7 @@ from typing import List
 
 from ..core import ForwardingStrategy, UpdateRateReport
 from ..engine import Series, register
-from ..mobility import cdf_points, percentile
+from ..mobility import percentile
 from ..obs import PaperTarget, PerfBudget
 from .context import World
 from .report import banner, render_cdf_summary, render_table
@@ -86,9 +86,6 @@ class Fig11Result:
 
     def max_events_per_day(self) -> float:
         return max(self.events_per_day)
-
-    def cdf_events(self):
-        return cdf_points(self.events_per_day)
 
 
 @register(

@@ -43,7 +43,7 @@ PAPER_TARGETS = (
 
 
 #: Cost bands for ``repro check``: Fig. 6 is a single columnar pass
-#: over the user event table plus CDF aggregation. Each wall band is
+#: over the segment table plus CDF aggregation. Each wall band is
 #: about three times its slowest plain reading on a 2-vCPU host, a cold
 #: run of fig6 alone (0.11 s small, 0.49 s paper), and never below 1 s.
 PERF_BUDGETS = (
@@ -99,7 +99,8 @@ class Fig6Result:
 )
 def run(world: World) -> Fig6Result:
     """Compute the Fig. 6 series from the NomadLog workload."""
-    averages = user_averages(world.workload.user_days)
+    workload = world.workload
+    averages = user_averages(workload.segments, workload.user_ids)
     return Fig6Result(
         ips=[u.avg_distinct_ips for u in averages],
         prefixes=[u.avg_distinct_prefixes for u in averages],

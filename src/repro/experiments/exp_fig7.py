@@ -50,7 +50,8 @@ class Fig7Result:
 )
 def run(world: World) -> Fig7Result:
     """Compute the Fig. 7 series from the NomadLog workload."""
-    averages = user_averages(world.workload.user_days)
+    workload = world.workload
+    averages = user_averages(workload.segments, workload.user_ids)
     return Fig7Result(
         ip_transitions=[u.avg_ip_transitions for u in averages],
         prefix_transitions=[u.avg_prefix_transitions for u in averages],

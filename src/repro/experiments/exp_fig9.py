@@ -48,7 +48,7 @@ class Fig9Result:
 )
 def run(world: World) -> Fig9Result:
     """Compute the Fig. 9 samples from the NomadLog workload."""
-    ip, prefix, asn = dominant_residence_samples(world.workload.user_days)
+    ip, prefix, asn = dominant_residence_samples(world.workload.segments)
     return Fig9Result(ip=ip, prefix=prefix, asn=asn)
 
 

@@ -1,8 +1,6 @@
-"""Measurement instruments: the NomadLog app pipeline, the PlanetLab
-vantage fleet + controller, and synthetic RouteViews/RIPE routers."""
+"""Measurement instruments: the PlanetLab vantage fleet + controller,
+and synthetic RouteViews/RIPE routers."""
 
-from .nomadlog import LogRow, NomadLogApp, NomadLogDatabase, collect_logs
-from .riblib import ParsedRib, parse_rib_dump, write_rib_dump
 from .routeviews import (
     RIPE_SPECS,
     ROUTEVIEWS_SPECS,
@@ -21,13 +19,6 @@ from .vantage import (
 )
 
 __all__ = [
-    "ParsedRib",
-    "parse_rib_dump",
-    "write_rib_dump",
-    "LogRow",
-    "NomadLogApp",
-    "NomadLogDatabase",
-    "collect_logs",
     "RouterSpec",
     "ROUTEVIEWS_SPECS",
     "RIPE_SPECS",

@@ -155,11 +155,6 @@ class ContentMeasurement:
             out[name] = sum(counts) / len(counts)
         return out
 
-    def all_events(self):
-        """Every mobility event across all names, unordered."""
-        for tl in self.timelines.values():
-            yield from tl.events()
-
 
 class MeasurementController:
     """Runs the (simulated) hourly measurement campaign."""

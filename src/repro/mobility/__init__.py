@@ -1,5 +1,6 @@
 """Device network-mobility: record types, behavioural model, synthetic
-NomadLog workload generation, and the Fig. 6/7/9 statistics."""
+NomadLog workload generation, and the Fig. 6/7/9 statistics over its
+segment table."""
 
 from .device import (
     AccessNetwork,
@@ -10,29 +11,20 @@ from .device import (
     simulate_user_day,
     simulate_user_days,
 )
-from .events import (
-    HOURS_PER_DAY,
-    DaySegment,
-    MobilityEvent,
-    NetworkLocation,
-    UserDay,
-    events_as_columns,
-)
+from .events import HOURS_PER_DAY, MobilityEvent, NetworkLocation
 from .stats import (
     DayStats,
+    Residence,
     UserAverages,
     cdf_points,
     day_stats,
     dominant_residence_samples,
     percentile,
+    residence,
     user_averages,
+    user_day_runs,
 )
-from .multihoming import (
-    MultihomedEvent,
-    MultihomedTimeline,
-    build_multihomed_timeline,
-)
-from .tracefile import read_trace, write_trace
+from .multihoming import MultihomedTimeline, build_multihomed_timeline
 from .synth import (
     CLASS_WEIGHTS,
     REGION_WEIGHTS,
@@ -43,10 +35,7 @@ from .synth import (
 
 __all__ = [
     "NetworkLocation",
-    "DaySegment",
-    "UserDay",
     "MobilityEvent",
-    "events_as_columns",
     "HOURS_PER_DAY",
     "AccessNetwork",
     "UserClass",
@@ -63,13 +52,13 @@ __all__ = [
     "DayStats",
     "UserAverages",
     "day_stats",
+    "Residence",
+    "residence",
+    "user_day_runs",
     "user_averages",
     "dominant_residence_samples",
     "percentile",
     "cdf_points",
-    "MultihomedEvent",
     "MultihomedTimeline",
     "build_multihomed_timeline",
-    "read_trace",
-    "write_trace",
 ]

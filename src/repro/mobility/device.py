@@ -31,8 +31,8 @@ The day builders emit plain rows, not record objects: a
 :data:`Location` per attach and a :data:`Row` per stay.
 :func:`segment_table` normalizes each day's rows, stacks them into one
 :data:`~repro.workload.columns.SEGMENT_DTYPE` table and runs every
-check of :class:`~repro.mobility.NetworkLocation`,
-:class:`~repro.mobility.DaySegment` and :class:`~repro.mobility.UserDay`
+check of :class:`~repro.mobility.NetworkLocation` and of the stay and
+day records (``DaySegment``, ``UserDay``) the object simulator built,
 once over it.
 """
 
@@ -64,7 +64,7 @@ __all__ = [
 Location = Tuple[int, IPv4Prefix, int]
 
 #: One stay as a day builder emits it: ``(location, start hour,
-#: duration in hours, cellular?)``, the fields of a ``DaySegment``.
+#: duration in hours, cellular?)``, the fields of a segment-table row.
 Row = Tuple[Location, float, float, bool]
 
 

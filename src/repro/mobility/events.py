@@ -11,16 +11,12 @@ WiFi to LTE while sitting still is mobile.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List
 
 from ..net import IPv4Address, IPv4Prefix
 
 __all__ = [
     "NetworkLocation",
-    "DaySegment",
-    "UserDay",
     "MobilityEvent",
-    "events_as_columns",
     "HOURS_PER_DAY",
 ]
 
@@ -41,69 +37,6 @@ class NetworkLocation:
 
 
 @dataclass(frozen=True)
-class DaySegment:
-    """A contiguous stay at one network location within a day."""
-
-    location: NetworkLocation
-    start_hour: float
-    duration_hours: float
-    net_type: str = "wifi"  # "wifi" or "cellular"
-
-    def __post_init__(self) -> None:
-        if self.duration_hours <= 0:
-            raise ValueError(f"non-positive duration: {self.duration_hours}")
-        if not 0.0 <= self.start_hour < HOURS_PER_DAY:
-            raise ValueError(f"start hour out of range: {self.start_hour}")
-
-    @property
-    def end_hour(self) -> float:
-        """When the segment ends (may exceed 24 only by float error)."""
-        return self.start_hour + self.duration_hours
-
-
-@dataclass
-class UserDay:
-    """One user's full day: contiguous segments covering 0..24h."""
-
-    user_id: str
-    day: int
-    segments: List[DaySegment]
-
-    def __post_init__(self) -> None:
-        if not self.segments:
-            raise ValueError("a user day needs at least one segment")
-        cursor = 0.0
-        for seg in self.segments:
-            if abs(seg.start_hour - cursor) > 1e-6:
-                raise ValueError(
-                    f"segments must be contiguous: gap at hour {cursor:.3f}"
-                )
-            cursor = seg.start_hour + seg.duration_hours
-        if abs(cursor - HOURS_PER_DAY) > 1e-6:
-            raise ValueError(f"day covers {cursor:.3f}h, expected 24h")
-
-    def locations(self) -> List[NetworkLocation]:
-        """The location of each segment, in order."""
-        return [seg.location for seg in self.segments]
-
-    def transitions(self) -> List["MobilityEvent"]:
-        """Mobility events: consecutive segments with a changed IP."""
-        events = []
-        for a, b in zip(self.segments, self.segments[1:]):
-            if a.location.ip != b.location.ip:
-                events.append(
-                    MobilityEvent(
-                        user_id=self.user_id,
-                        day=self.day,
-                        hour=b.start_hour,
-                        old=a.location,
-                        new=b.location,
-                    )
-                )
-        return events
-
-
-@dataclass(frozen=True)
 class MobilityEvent:
     """A device moving from one network location to another (Fig. 1a)."""
 
@@ -121,16 +54,3 @@ class MobilityEvent:
         """True if the origin AS changed."""
         return self.old.asn != self.new.asn
 
-
-def events_as_columns(events: Iterable["MobilityEvent"]):
-    """Batch ``events`` into a columnar table.
-
-    Returns a :class:`repro.workload.DeviceEventColumns` whose
-    ``as_columns()`` exposes zero-copy time/user/from_as/to_as arrays
-    and whose iteration/`to_events()` lazily rebuilds the exact object
-    events — the backward-compatible view contract. Imported lazily so
-    this record-type module stays importable without touching numpy.
-    """
-    from ..workload import DeviceEventColumns
-
-    return DeviceEventColumns.from_events(events)

@@ -3,11 +3,10 @@
 §3.3 develops the multihomed update-cost model "in the context of
 content mobility, but note that it applies to both device and content
 mobility" — and modern phones *are* multihomed: the cellular radio
-stays attached while the device uses WiFi. This module turns a
-single-attachment :class:`~repro.mobility.events.UserDay` sequence into
-a *multihomed address-set timeline*: during WiFi segments of a
-dual-radio device, the set contains both the WiFi address and the
-still-held cellular address.
+stays attached while the device uses WiFi. This module turns one
+device's single-attachment segment rows into a *multihomed address-set
+timeline*: during WiFi segments of a dual-radio device, the set
+contains both the WiFi address and the still-held cellular address.
 
 The §3.3.1 strategies then apply verbatim: with best-port forwarding, a
 router tracking the device by its *set* of addresses rarely changes its
@@ -20,32 +19,15 @@ assisted multipath designs tame device mobility.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..net import IPv4Address
-from .events import NetworkLocation, UserDay
+from ..workload.columns import np
 
 __all__ = [
-    "MultihomedEvent",
     "MultihomedTimeline",
     "build_multihomed_timeline",
 ]
-
-
-@dataclass(frozen=True)
-class MultihomedEvent:
-    """A change in a device's simultaneous address set."""
-
-    user_id: str
-    hour: float  # hours since trace start
-    old_addrs: FrozenSet[IPv4Address]
-    new_addrs: FrozenSet[IPv4Address]
-
-    def added(self) -> FrozenSet[IPv4Address]:
-        return self.new_addrs - self.old_addrs
-
-    def removed(self) -> FrozenSet[IPv4Address]:
-        return self.old_addrs - self.new_addrs
 
 
 @dataclass
@@ -56,52 +38,32 @@ class MultihomedTimeline:
     dual_radio: bool
     changes: List[Tuple[float, FrozenSet[IPv4Address]]]
 
-    def events(self) -> List[MultihomedEvent]:
-        """All set-changing events, in time order."""
-        out = []
-        for (_, old), (hour, new) in zip(self.changes, self.changes[1:]):
-            out.append(
-                MultihomedEvent(
-                    user_id=self.user_id,
-                    hour=hour,
-                    old_addrs=old,
-                    new_addrs=new,
-                )
-            )
-        return out
-
-    def set_at(self, hour: float) -> FrozenSet[IPv4Address]:
-        """The address set at ``hour`` (hours since trace start)."""
-        current = self.changes[0][1]
-        for change_hour, addrs in self.changes:
-            if change_hour > hour:
-                break
-            current = addrs
-        return current
-
 
 def build_multihomed_timeline(
-    user_days: Sequence[UserDay],
+    user_id: str,
+    rows: "np.ndarray",
     dual_radio: bool,
     cellular_hold_hours: float = 2.0,
 ) -> MultihomedTimeline:
     """Overlay a persistent cellular attachment onto a device's days.
 
+    ``rows`` are one user's :data:`~repro.workload.columns.SEGMENT_DTYPE`
+    rows; days are taken in day order, each day's rows in table order.
     For a dual-radio device, the most recent cellular address remains
     in the set during WiFi segments for up to ``cellular_hold_hours``
     after the device left cellular (idle radios eventually detach).
     Single-radio devices produce the singleton-set timeline.
     """
-    if not user_days:
-        raise ValueError("need at least one user day")
-    ordered = sorted(user_days, key=lambda d: d.day)
-    user_ids = {d.user_id for d in ordered}
-    if len(user_ids) != 1:
-        raise ValueError(f"user days span multiple users: {sorted(user_ids)}")
-    user_id = ordered[0].user_id
+    if not len(rows):
+        raise ValueError("need at least one segment")
+    users = np.unique(rows["user"]).tolist()
+    if len(users) != 1:
+        raise ValueError(f"segments span multiple users: {users}")
+    rows = rows[np.argsort(rows["day"], kind="stable")]
 
     changes: List[Tuple[float, FrozenSet[IPv4Address]]] = []
-    last_cellular: Optional[Tuple[float, NetworkLocation]] = None
+    addresses: Dict[int, IPv4Address] = {}
+    last_cellular: Optional[Tuple[float, IPv4Address]] = None
 
     def emit(hour: float, addrs: FrozenSet[IPv4Address]) -> None:
         if changes and changes[-1][1] == addrs:
@@ -113,29 +75,30 @@ def build_multihomed_timeline(
             return
         changes.append((hour, addrs))
 
-    for user_day in ordered:
-        base_hour = user_day.day * 24.0
-        for segment in user_day.segments:
-            start = base_hour + segment.start_hour
-            end = start + segment.duration_hours
-            addrs = {segment.location.ip}
-            if segment.net_type == "cellular":
-                last_cellular = (end, segment.location)
-                emit(start, frozenset(addrs))
+    for day, start_hour, duration, ip, cellular in zip(*(
+        rows[name].tolist()
+        for name in ("day", "start", "duration", "ip", "cellular")
+    )):
+        start = day * 24.0 + start_hour
+        end = start + duration
+        address = addresses.get(ip)
+        if address is None:
+            address = addresses[ip] = IPv4Address(ip)
+        if cellular:
+            last_cellular = (end, address)
+            emit(start, frozenset({address}))
+            continue
+        if dual_radio and last_cellular is not None:
+            left_cellular_at, cellular_address = last_cellular
+            expiry = left_cellular_at + cellular_hold_hours
+            if start < expiry:
+                emit(start, frozenset({address, cellular_address}))
+                if expiry < end:
+                    # The idle radio detaches mid-segment: the
+                    # cellular address drops out of the set.
+                    emit(expiry, frozenset({address}))
                 continue
-            if dual_radio and last_cellular is not None:
-                left_cellular_at, cellular_loc = last_cellular
-                expiry = left_cellular_at + cellular_hold_hours
-                if start < expiry:
-                    emit(start, frozenset(addrs | {cellular_loc.ip}))
-                    if expiry < end:
-                        # The idle radio detaches mid-segment: the
-                        # cellular address drops out of the set.
-                        emit(expiry, frozenset(addrs))
-                    continue
-            emit(start, frozenset(addrs))
-    if not changes:
-        raise ValueError("user days produced no segments")
+        emit(start, frozenset({address}))
     return MultihomedTimeline(
         user_id=user_id, dual_radio=dual_radio, changes=changes
     )

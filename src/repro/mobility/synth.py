@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .. import obs
-from ..net import IPv4Address, IPv4Prefix
 from ..stats import sequential_sum
 from ..topology import ASTopology, Tier
 from ..workload.columns import DeviceEventColumns, np, segment_moves
@@ -40,7 +39,7 @@ from .device import (
     segment_table,
     simulate_user_days,
 )
-from .events import DaySegment, MobilityEvent, NetworkLocation, UserDay
+from .events import MobilityEvent
 
 __all__ = [
     "MobilityWorkloadConfig",
@@ -106,9 +105,8 @@ class MobilityWorkload:
 
     ``segments`` is the :data:`~repro.workload.columns.SEGMENT_DTYPE`
     table of every stay, its ``user`` column indexing ``profiles``.
-    The event table (:meth:`as_columns`) and the record objects
-    (:attr:`user_days`) are views of it, built on first use; a pickle
-    carries the table alone.
+    The event table (:meth:`as_columns`) is gathered from it on first
+    use; a pickle carries the table alone.
     """
 
     def __init__(
@@ -120,12 +118,11 @@ class MobilityWorkload:
         self.profiles = profiles
         self.segments = segments
         self.topology = topology
-        self._user_days: Optional[List[UserDay]] = None
         self._columns: Optional[DeviceEventColumns] = None
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state["_user_days"] = state["_columns"] = None
+        state["_columns"] = None
         return state
 
     @property
@@ -133,23 +130,12 @@ class MobilityWorkload:
         """The id of each table user, by profile index."""
         return tuple(profile.user_id for profile in self.profiles)
 
-    @property
-    def user_days(self) -> List[UserDay]:
-        """Every simulated day as a :class:`UserDay`, in table order.
-
-        Built from the segment table on first access, for the readers
-        that want record objects.
-        """
-        if self._user_days is None:
-            self._user_days = _user_days(self.segments, self.user_ids)
-        return self._user_days
-
     def all_transitions(self) -> List[MobilityEvent]:
-        """Every IP-changing mobility event in the whole trace."""
-        events: List[MobilityEvent] = []
-        for ud in self.user_days:
-            events.extend(ud.transitions())
-        return events
+        """Every IP-changing mobility event in the whole trace.
+
+        The event table's :meth:`~repro.workload.DeviceEventColumns.to_events`.
+        """
+        return self.as_columns().to_events()
 
     def as_columns(self) -> DeviceEventColumns:
         """Every mobility event as one columnar batch.
@@ -170,43 +156,6 @@ class MobilityWorkload:
     def num_users(self) -> int:
         """Number of users with at least one simulated day."""
         return len(np.unique(self.segments["user"]))
-
-
-def _user_days(segments: "np.ndarray", users: Tuple[str, ...]) -> List[UserDay]:
-    """The :class:`UserDay` records of a segment table, in table order.
-
-    Rows with the same address, prefix and AS share one
-    :class:`NetworkLocation`, as a sticky lease's segments do.
-    """
-    if not len(segments):
-        return []
-    user, day = segments["user"], segments["day"]
-    bounds = (
-        np.flatnonzero((user[1:] != user[:-1]) | (day[1:] != day[:-1])) + 1
-    ).tolist()
-    locations: Dict[tuple, NetworkLocation] = {}
-    prefixes: Dict[tuple, IPv4Prefix] = {}
-    stays: List[DaySegment] = []
-    for start, duration, ip, net, length, asn, cellular in zip(*(
-        segments[name].tolist()
-        for name in ("start", "duration", "ip", "net", "len", "asn", "cellular")
-    )):
-        key = (ip, net, length, asn)
-        location = locations.get(key)
-        if location is None:
-            prefix = prefixes.get((net, length))
-            if prefix is None:
-                prefix = prefixes[(net, length)] = IPv4Prefix(net, length)
-            location = locations[key] = NetworkLocation(
-                IPv4Address(ip), prefix, asn
-            )
-        stays.append(DaySegment(
-            location, start, duration, "cellular" if cellular else "wifi"
-        ))
-    return [
-        UserDay(users[user[a]], int(day[a]), stays[a:b])
-        for a, b in zip([0, *bounds], [*bounds, len(stays)])
-    ]
 
 
 def _weighted_choice(rng: random.Random, weights: Dict) -> object:

@@ -128,10 +128,6 @@ class NameResolutionService:
 
     # -- replica availability (repro.faults) ---------------------------
 
-    def replica_sites(self) -> List[str]:
-        """All replica site names, in insertion order."""
-        return list(self._replica_latency)
-
     def replica_up(self, site: str, now: float) -> bool:
         """Is ``site`` serving at ``now`` under the fault schedule?"""
         if site not in self._replica_latency:

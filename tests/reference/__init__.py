@@ -3,8 +3,8 @@
 ``src/`` keeps one implementation per hot path: the frontier-batched
 control plane, the vectorized evaluators, the batched convergence
 probes, the bitmask timeline builders, the hash-indexed address space
-and the segment-table mobility generator. Their parity oracles live
-here, written the plain way:
+and the segment-table mobility generator and readers. Their parity
+oracles live here, written the plain way:
 
 :mod:`.addressing`
     Covering prefixes by binary-trie walk, and the per-address
@@ -31,7 +31,10 @@ here, written the plain way:
     The object simulator behind ``generate_workload``: each attach a
     ``NetworkLocation``, each stay a checked ``DaySegment``, each day a
     ``UserDay``, and the events as the consecutive segment pairs whose
-    address changes.
+    address changes. Also the object readers the segment-table
+    reductions replaced: the table read back as ``UserDay`` records,
+    per-day statistics by dict walk, and the segment-by-segment
+    multihomed timeline builder with its event and set readers.
 
 The whole-suite regression oracle is ``tests/golden/digests-small.json``,
 checked by ``tests/test_golden_digests.py``.

@@ -9,8 +9,10 @@ APIs (``candidate_routes``, ``InterdomainPortMap.port_for_address``,
 ``ContentPortMapper.best_port``, ``best_route_for_address`` and
 ``update_for_event``). Each function returns what its experiment's
 ``run`` returns for the same ``world``, which needs only ``oracle``,
-``topology``, ``routeviews``, ``workload.user_days``,
-``workload.all_transitions()`` and the two content measurements.
+``topology``, ``routeviews``, the workload's ``segments``, ``user_ids``
+and ``all_transitions()`` (its days read back as
+:class:`~tests.reference.mobility.UserDay` records) and the two content
+measurements.
 """
 
 from __future__ import annotations
@@ -33,10 +35,13 @@ from repro.experiments.exp_policy_sensitivity import (
     PolicySensitivityResult,
 )
 from repro.mobility import HOURS_PER_DAY
-from repro.mobility.multihoming import build_multihomed_timeline
+
+from .mobility import build_multihomed_timeline, day_stats, user_days
 
 __all__ = [
     "policy_sensitivity",
+    "home_visits",
+    "dominant_addresses",
     "fib_size",
     "single_attachment_updates",
     "multihomed_updates",
@@ -82,6 +87,30 @@ def policy_sensitivity(world) -> PolicySensitivityResult:
     return PolicySensitivityResult(rates=rates, num_events=len(events))
 
 
+def home_visits(days) -> List[Tuple[int, int]]:
+    """Fig. 10's (home AS, visited AS) pairs, one ``day_stats`` a day."""
+    pairs = []
+    for user_day in days:
+        stats = day_stats(user_day)
+        home = stats.dominant_asn
+        for asn in stats.hours_by_asn:
+            if asn != home:
+                pairs.append((home, asn))
+    return pairs
+
+
+def dominant_addresses(days) -> List[int]:
+    """fib-size's dominant address value of each user-day."""
+    dominant = []
+    for user_day in days:
+        hours_by_ip: Dict[int, float] = {}
+        for segment in user_day.segments:
+            ip = segment.location.ip.value
+            hours_by_ip[ip] = hours_by_ip.get(ip, 0.0) + segment.duration_hours
+        dominant.append(max(hours_by_ip, key=hours_by_ip.__getitem__))
+    return dominant
+
+
 def fib_size(world) -> FibSizeResult:
     """§6.2 displaced fraction: each segment against its day's home."""
     port_maps = [
@@ -89,7 +118,8 @@ def fib_size(world) -> FibSizeResult:
     ]
     displaced_hours = {pm.vantage.name: 0.0 for pm in port_maps}
     total_hours = 0.0
-    for user_day in world.workload.user_days:
+    days = user_days(world.workload)
+    for user_day in days:
         # The dominant location: the address with the most residence
         # time over the whole day (§6.3.1's definition).
         hours_by_ip: Dict[object, float] = {}
@@ -113,7 +143,7 @@ def fib_size(world) -> FibSizeResult:
     }
     return FibSizeResult(
         displaced_fraction=fractions,
-        user_days=len(world.workload.user_days),
+        user_days=len(days),
     )
 
 
@@ -143,7 +173,7 @@ def multihomed_updates(
 
     One :meth:`ContentPortMapper.update_for_event` call per strategy,
     event and router; ``timelines`` carry ``events()`` of old and new
-    address sets, like :class:`~repro.mobility.MultihomedTimeline`.
+    address sets, like :class:`~tests.reference.mobility.MultihomedTimeline`.
     """
     mappers = [ContentPortMapper(router, oracle) for router in routers]
     best = {m.vantage.name: 0 for m in mappers}
@@ -174,7 +204,7 @@ def ablation_multihoming(
     """§3.3 on devices: both legs replayed event by event."""
     rng = random.Random(seed)
     by_user: Dict[str, List] = {}
-    for user_day in world.workload.user_days:
+    for user_day in user_days(world.workload):
         by_user.setdefault(user_day.user_id, []).append(user_day)
     timelines = []
     dual_count = 0

@@ -1,16 +1,25 @@
-"""The object simulator: the mobility workload's reference.
+"""The object simulator and the object readers: the mobility reference.
 
-:func:`repro.mobility.generate_workload` writes one segment table, and
-its event table is a numpy gather of consecutive rows. This module is
-the simulator it replaced, written the plain way: each attach builds a
-:class:`~repro.mobility.NetworkLocation`, each stay a
-:class:`~repro.mobility.DaySegment` (checked when built, and rebuilt
-by ``_normalize``), each day a :class:`~repro.mobility.UserDay`, and
-the events are the consecutive segment pairs :func:`_ip_changes` walks.
-It makes the same random draws in the same order, so for one topology
-and config :func:`simulate` returns the days the table's
-``user_days`` view must equal, and :func:`event_columns` the event
-table ``as_columns`` must equal byte for byte.
+:func:`repro.mobility.generate_workload` writes one segment table, its
+event table is a numpy gather of consecutive rows, and the Fig. 6/7/9,
+Fig. 10, fib-size and multihoming readers reduce the table's columns.
+This module is what they replaced, written the plain way.
+
+The simulator: each attach builds a
+:class:`~repro.mobility.NetworkLocation`, each stay a :class:`DaySegment`
+(checked when built, and rebuilt by ``_normalize``), each day a
+:class:`UserDay`, and the events are the consecutive segment pairs
+:func:`_ip_changes` walks. It makes the same random draws in the same
+order, so for one topology and config :func:`simulate` returns the days
+:func:`user_days` reads back from the table, and :func:`event_columns`
+the event table ``as_columns`` must equal byte for byte.
+
+The readers: :func:`day_stats` walks one :class:`UserDay` with dicts,
+:func:`user_averages` and :func:`dominant_residence_samples` reduce its
+results, and :func:`build_multihomed_timeline` overlays the cellular
+anchor onto a device's days segment by segment, returning a
+:class:`MultihomedTimeline` whose :meth:`~MultihomedTimeline.events`
+and :meth:`~MultihomedTimeline.set_at` read its change points back.
 """
 
 from __future__ import annotations
@@ -18,28 +27,139 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro import mobility
 from repro.mobility import (
     HOURS_PER_DAY,
-    DaySegment,
+    MobilityEvent,
     MobilityWorkloadConfig,
     NetworkLocation,
+    UserAverages,
     UserClass,
-    UserDay,
     UserProfile,
 )
 from repro.mobility.synth import _weighted_choice
-from repro.net import IPv4Prefix
+from repro.net import IPv4Address, IPv4Prefix
 from repro.topology import ASTopology, Tier
 from repro.workload import DeviceEventColumns
 
 __all__ = [
+    "DaySegment",
+    "UserDay",
+    "user_days",
     "AccessNetwork",
     "simulate_user_day",
     "simulate",
     "event_columns",
+    "DayStats",
+    "day_stats",
+    "user_averages",
+    "dominant_residence_samples",
+    "MultihomedEvent",
+    "MultihomedTimeline",
+    "build_multihomed_timeline",
 ]
+
+
+@dataclass(frozen=True)
+class DaySegment:
+    """A contiguous stay at one network location within a day."""
+
+    location: NetworkLocation
+    start_hour: float
+    duration_hours: float
+    net_type: str = "wifi"  # "wifi" or "cellular"
+
+    def __post_init__(self) -> None:
+        if self.duration_hours <= 0:
+            raise ValueError(f"non-positive duration: {self.duration_hours}")
+        if not 0.0 <= self.start_hour < HOURS_PER_DAY:
+            raise ValueError(f"start hour out of range: {self.start_hour}")
+
+    @property
+    def end_hour(self) -> float:
+        """When the segment ends (may exceed 24 only by float error)."""
+        return self.start_hour + self.duration_hours
+
+
+@dataclass
+class UserDay:
+    """One user's full day: contiguous segments covering 0..24h."""
+
+    user_id: str
+    day: int
+    segments: List[DaySegment]
+
+    def __post_init__(self) -> None:
+        if not self.segments:
+            raise ValueError("a user day needs at least one segment")
+        cursor = 0.0
+        for seg in self.segments:
+            if abs(seg.start_hour - cursor) > 1e-6:
+                raise ValueError(
+                    f"segments must be contiguous: gap at hour {cursor:.3f}"
+                )
+            cursor = seg.start_hour + seg.duration_hours
+        if abs(cursor - HOURS_PER_DAY) > 1e-6:
+            raise ValueError(f"day covers {cursor:.3f}h, expected 24h")
+
+    def locations(self) -> List[NetworkLocation]:
+        """The location of each segment, in order."""
+        return [seg.location for seg in self.segments]
+
+    def transitions(self) -> List[MobilityEvent]:
+        """Mobility events: consecutive segments with a changed IP."""
+        events = []
+        for a, b in zip(self.segments, self.segments[1:]):
+            if a.location.ip != b.location.ip:
+                events.append(
+                    MobilityEvent(
+                        user_id=self.user_id,
+                        day=self.day,
+                        hour=b.start_hour,
+                        old=a.location,
+                        new=b.location,
+                    )
+                )
+        return events
+
+
+def user_days(workload) -> List[UserDay]:
+    """The :class:`UserDay` records of a workload's segment table.
+
+    Reads ``workload.segments`` and ``workload.user_ids``; days come in
+    table order. Rows with the same address, prefix and AS share one
+    :class:`NetworkLocation`, as a sticky lease's segments do.
+    """
+    segments, users = workload.segments, workload.user_ids
+    if not len(segments):
+        return []
+    user, day = segments["user"], segments["day"]
+    bounds = (
+        np.flatnonzero((user[1:] != user[:-1]) | (day[1:] != day[:-1])) + 1
+    ).tolist()
+    locations: Dict[tuple, NetworkLocation] = {}
+    stays: List[DaySegment] = []
+    for start, duration, ip, net, length, asn, cellular in zip(*(
+        segments[name].tolist()
+        for name in ("start", "duration", "ip", "net", "len", "asn", "cellular")
+    )):
+        key = (ip, net, length, asn)
+        location = locations.get(key)
+        if location is None:
+            location = locations[key] = NetworkLocation(
+                IPv4Address(ip), IPv4Prefix(net, length), asn
+            )
+        stays.append(DaySegment(
+            location, start, duration, "cellular" if cellular else "wifi"
+        ))
+    return [
+        UserDay(users[user[a]], int(day[a]), stays[a:b])
+        for a, b in zip([0, *bounds], [*bounds, len(stays)])
+    ]
 
 
 @dataclass
@@ -504,3 +624,212 @@ def event_columns(user_days: List[UserDay]) -> DeviceEventColumns:
         (ud.user_id, ud.day, b.start_hour, a.location, b.location)
         for ud, a, b in _ip_changes(user_days)
     ])
+
+
+@dataclass(frozen=True)
+class DayStats:
+    """Network-mobility statistics for one user-day."""
+
+    user_id: str
+    day: int
+    distinct_ips: int
+    distinct_prefixes: int
+    distinct_ases: int
+    ip_transitions: int
+    prefix_transitions: int
+    as_transitions: int
+    dominant_ip_fraction: float
+    dominant_prefix_fraction: float
+    dominant_as_fraction: float
+    dominant_asn: int
+    hours_by_asn: Dict[int, float]
+
+
+def day_stats(user_day: UserDay) -> DayStats:
+    """All per-day statistics for one :class:`UserDay`."""
+    ips = set()
+    prefixes = set()
+    ases = set()
+    ip_hours: Dict[object, float] = {}
+    prefix_hours: Dict[object, float] = {}
+    as_hours: Dict[int, float] = {}
+    for seg in user_day.segments:
+        loc = seg.location
+        ips.add(loc.ip)
+        prefixes.add(loc.prefix)
+        ases.add(loc.asn)
+        ip_hours[loc.ip] = ip_hours.get(loc.ip, 0.0) + seg.duration_hours
+        prefix_hours[loc.prefix] = (
+            prefix_hours.get(loc.prefix, 0.0) + seg.duration_hours
+        )
+        as_hours[loc.asn] = as_hours.get(loc.asn, 0.0) + seg.duration_hours
+
+    ip_trans = prefix_trans = as_trans = 0
+    for a, b in zip(user_day.segments, user_day.segments[1:]):
+        if a.location.ip != b.location.ip:
+            ip_trans += 1
+        if a.location.prefix != b.location.prefix:
+            prefix_trans += 1
+        if a.location.asn != b.location.asn:
+            as_trans += 1
+
+    dominant_asn = max(as_hours, key=lambda k: (as_hours[k], -k))
+    return DayStats(
+        user_id=user_day.user_id,
+        day=user_day.day,
+        distinct_ips=len(ips),
+        distinct_prefixes=len(prefixes),
+        distinct_ases=len(ases),
+        ip_transitions=ip_trans,
+        prefix_transitions=prefix_trans,
+        as_transitions=as_trans,
+        dominant_ip_fraction=max(ip_hours.values()) / HOURS_PER_DAY,
+        dominant_prefix_fraction=max(prefix_hours.values()) / HOURS_PER_DAY,
+        dominant_as_fraction=max(as_hours.values()) / HOURS_PER_DAY,
+        dominant_asn=dominant_asn,
+        hours_by_asn=as_hours,
+    )
+
+
+def user_averages(user_days: Iterable[UserDay]) -> List[UserAverages]:
+    """Group user-days by user and average the daily statistics."""
+    per_user: Dict[str, List[DayStats]] = {}
+    for ud in user_days:
+        per_user.setdefault(ud.user_id, []).append(day_stats(ud))
+    result = []
+    for user_id in sorted(per_user):
+        days = per_user[user_id]
+        n = len(days)
+        result.append(
+            UserAverages(
+                user_id=user_id,
+                num_days=n,
+                avg_distinct_ips=sum(d.distinct_ips for d in days) / n,
+                avg_distinct_prefixes=sum(d.distinct_prefixes for d in days) / n,
+                avg_distinct_ases=sum(d.distinct_ases for d in days) / n,
+                avg_ip_transitions=sum(d.ip_transitions for d in days) / n,
+                avg_prefix_transitions=sum(d.prefix_transitions for d in days) / n,
+                avg_as_transitions=sum(d.as_transitions for d in days) / n,
+            )
+        )
+    return result
+
+
+def dominant_residence_samples(
+    user_days: Iterable[UserDay],
+) -> Tuple[List[float], List[float], List[float]]:
+    """Fig. 9 samples: (ip, prefix, AS) dominant fractions per user-day."""
+    ip_samples: List[float] = []
+    prefix_samples: List[float] = []
+    as_samples: List[float] = []
+    for ud in user_days:
+        stats = day_stats(ud)
+        ip_samples.append(stats.dominant_ip_fraction)
+        prefix_samples.append(stats.dominant_prefix_fraction)
+        as_samples.append(stats.dominant_as_fraction)
+    return ip_samples, prefix_samples, as_samples
+
+
+@dataclass(frozen=True)
+class MultihomedEvent:
+    """A change in a device's simultaneous address set."""
+
+    user_id: str
+    hour: float  # hours since trace start
+    old_addrs: FrozenSet[IPv4Address]
+    new_addrs: FrozenSet[IPv4Address]
+
+    def added(self) -> FrozenSet[IPv4Address]:
+        return self.new_addrs - self.old_addrs
+
+    def removed(self) -> FrozenSet[IPv4Address]:
+        return self.old_addrs - self.new_addrs
+
+
+@dataclass
+class MultihomedTimeline(mobility.MultihomedTimeline):
+    """A timeline whose change points read back as events and sets."""
+
+    def events(self) -> List[MultihomedEvent]:
+        """All set-changing events, in time order."""
+        out = []
+        for (_, old), (hour, new) in zip(self.changes, self.changes[1:]):
+            out.append(
+                MultihomedEvent(
+                    user_id=self.user_id,
+                    hour=hour,
+                    old_addrs=old,
+                    new_addrs=new,
+                )
+            )
+        return out
+
+    def set_at(self, hour: float) -> FrozenSet[IPv4Address]:
+        """The address set at ``hour`` (hours since trace start)."""
+        current = self.changes[0][1]
+        for change_hour, addrs in self.changes:
+            if change_hour > hour:
+                break
+            current = addrs
+        return current
+
+
+def build_multihomed_timeline(
+    user_days: Sequence[UserDay],
+    dual_radio: bool,
+    cellular_hold_hours: float = 2.0,
+) -> MultihomedTimeline:
+    """Overlay a persistent cellular attachment onto a device's days.
+
+    For a dual-radio device, the most recent cellular address remains
+    in the set during WiFi segments for up to ``cellular_hold_hours``
+    after the device left cellular (idle radios eventually detach).
+    Single-radio devices produce the singleton-set timeline.
+    """
+    if not user_days:
+        raise ValueError("need at least one user day")
+    ordered = sorted(user_days, key=lambda d: d.day)
+    user_ids = {d.user_id for d in ordered}
+    if len(user_ids) != 1:
+        raise ValueError(f"user days span multiple users: {sorted(user_ids)}")
+    user_id = ordered[0].user_id
+
+    changes: List[Tuple[float, FrozenSet[IPv4Address]]] = []
+    last_cellular: Optional[Tuple[float, NetworkLocation]] = None
+
+    def emit(hour: float, addrs: FrozenSet[IPv4Address]) -> None:
+        if changes and changes[-1][1] == addrs:
+            return
+        if changes and changes[-1][0] == hour:
+            changes[-1] = (hour, addrs)
+            if len(changes) >= 2 and changes[-2][1] == addrs:
+                changes.pop()
+            return
+        changes.append((hour, addrs))
+
+    for user_day in ordered:
+        base_hour = user_day.day * 24.0
+        for segment in user_day.segments:
+            start = base_hour + segment.start_hour
+            end = start + segment.duration_hours
+            addrs = {segment.location.ip}
+            if segment.net_type == "cellular":
+                last_cellular = (end, segment.location)
+                emit(start, frozenset(addrs))
+                continue
+            if dual_radio and last_cellular is not None:
+                left_cellular_at, cellular_loc = last_cellular
+                expiry = left_cellular_at + cellular_hold_hours
+                if start < expiry:
+                    emit(start, frozenset(addrs | {cellular_loc.ip}))
+                    if expiry < end:
+                        # The idle radio detaches mid-segment: the
+                        # cellular address drops out of the set.
+                        emit(expiry, frozenset(addrs))
+                    continue
+            emit(start, frozenset(addrs))
+    if not changes:
+        raise ValueError("user days produced no segments")
+    return MultihomedTimeline(
+        user_id=user_id, dual_radio=dual_radio, changes=changes
+    )

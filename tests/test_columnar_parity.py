@@ -40,8 +40,7 @@ from repro.experiments import (
     exp_fig12,
     exp_policy_sensitivity,
 )
-from repro.mobility import DaySegment, MobilityEvent, UserDay
-from repro.mobility.multihoming import MultihomedTimeline
+from repro.mobility import MobilityEvent, segment_table
 from repro.net import ContentName, parse_address, parse_prefix
 from repro.obs.history import digest_series
 from repro.routing import RoutingOracle, VantagePoint
@@ -49,6 +48,7 @@ from repro.topology import Relationship
 from repro.workload import AddrsMatrix, DeviceEventColumns
 
 from tests.reference import experiments as reference_experiments
+from tests.reference.mobility import MultihomedTimeline
 from tests.reference.evaluators import (
     content_report,
     device_report,
@@ -360,11 +360,7 @@ def device_routers():
 
 def day(user, index, segments):
     """A user day from ``(location, hours, net type)`` segments."""
-    start, parts = 0.0, []
-    for location, hours, net_type in segments:
-        parts.append(DaySegment(location, start, hours, net_type))
-        start += hours
-    return UserDay(user, index, parts)
+    return user, index, segments
 
 
 def device_days():
@@ -383,18 +379,36 @@ def device_days():
     ]
 
 
+def device_workload(days):
+    """A workload's segment table, users and events from ``days``."""
+    users = sorted({user for user, _, _ in days})
+    built = []
+    for user, index, segments in days:
+        rows, start = [], 0.0
+        for location, hours, net_type in segments:
+            site = (location.ip.value, location.prefix, location.asn)
+            rows.append((site, start, hours, net_type == "cellular"))
+            start += hours
+        built.append((users.index(user), index, rows))
+    segments = segment_table(built)
+    columns = DeviceEventColumns.from_segments(segments, users)
+    return SimpleNamespace(
+        segments=segments, user_ids=tuple(users),
+        all_transitions=columns.to_events,
+    ), columns
+
+
 def device_world(oracle, days=None):
     """The parts of a World the three device experiments read."""
-    days = device_days() if days is None else days
-    events = [event for d in days for event in d.transitions()]
+    workload, columns = device_workload(
+        device_days() if days is None else days
+    )
     return SimpleNamespace(
         topology=oracle.topology,
         oracle=oracle,
         routeviews=device_routers(),
-        workload=SimpleNamespace(
-            user_days=days, all_transitions=lambda: events
-        ),
-        device_event_columns=DeviceEventColumns.from_events(events),
+        workload=workload,
+        device_event_columns=columns,
     )
 
 
@@ -449,6 +463,16 @@ class TestDeviceExperimentParity:
         assert vector.displaced_fraction == {
             "vp": 9.0 / 96.0, "east": 0.0, "multi": 9.0 / 96.0,
         }
+
+    def test_fib_size_tie_goes_to_first_seen(self):
+        # L7 comes first and ties with L6, the lower address: L7 is home.
+        days = [day("a", 0, [(L7, 12.0, "wifi"), (L6, 12.0, "wifi")])]
+        world, reference_world = device_worlds(days)
+        dominant, _ = exp_fib_size.dominant_addresses(world.workload.segments)
+        assert dominant.tolist() == [L7.ip.value]
+        vector = exp_fib_size.run(world)
+        assert vector == reference_experiments.fib_size(reference_world)
+        assert vector.displaced_fraction["vp"] == 0.5
 
     def test_fib_size_uncovered_dominant(self):
         days = [day("a", 0, [(L_DARK, 16.0, "wifi"), (L6, 4.0, "wifi"),

@@ -280,14 +280,19 @@ class TestWorldCache:
             return (mine.table.tobytes() == theirs.table.tobytes()
                     and mine.users == theirs.users)
 
+        def same_workload(world, other):
+            mine, theirs = world.workload, other.workload
+            return (mine.segments.tobytes() == theirs.segments.tobytes()
+                    and mine.user_ids == theirs.user_ids)
+
         cold = World(SMALL_SCALE, cache=ArtifactCache(str(tmp_path)))
         plain = World(SMALL_SCALE)
-        assert cold.workload.user_days == plain.workload.user_days
+        assert same_workload(cold, plain)
         assert same_events(cold, plain)
         assert cold.cache.misses > 0 and cold.cache.hits == 0
 
         warm = World(SMALL_SCALE, cache=ArtifactCache(str(tmp_path)))
-        assert warm.workload.user_days == plain.workload.user_days
+        assert same_workload(warm, plain)
         assert same_events(warm, plain)
         assert warm.cache.hits > 0 and warm.cache.misses == 0
 

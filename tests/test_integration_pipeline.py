@@ -1,12 +1,9 @@
 """End-to-end integration tests: cross-module consistency at tiny scale.
 
 These pin the glue between packages: the experiment harness must
-compute exactly what the underlying evaluators compute, CSV/trace
-round trips must feed back into identical statistics, and the CLI must
-agree with the library.
+compute exactly what the underlying evaluators compute, and the CLI
+must agree with the library.
 """
-
-import io
 
 import pytest
 
@@ -25,7 +22,6 @@ from repro.experiments import (
     exp_fig11,
 )
 from repro.measurement import ContentMeasurement
-from repro.mobility import read_trace, user_averages, write_trace
 from repro.routing import RoutingOracle
 
 
@@ -92,43 +88,6 @@ class TestOneContentPass:
         assert collector.timers["evaluator.batch.content"]["count"] == 1
         assert costs is not evaluator.costs(popular)
         assert costs == evaluator.costs(popular)
-
-
-class TestTraceRoundtripFeedsPipeline:
-    def test_fig6_statistics_identical_after_roundtrip(self, world):
-        buffer = io.StringIO()
-        write_trace(world.workload.user_days, buffer)
-        buffer.seek(0)
-        reloaded = read_trace(buffer)
-        original = user_averages(world.workload.user_days)
-        recovered = user_averages(reloaded)
-        assert len(original) == len(recovered)
-        for a, b in zip(original, recovered):
-            assert a.user_id == b.user_id
-            assert a.avg_distinct_ips == pytest.approx(b.avg_distinct_ips)
-            assert a.avg_as_transitions == pytest.approx(
-                b.avg_as_transitions
-            )
-
-    def test_transitions_identical_after_roundtrip(self, world):
-        buffer = io.StringIO()
-        write_trace(world.workload.user_days[:40], buffer)
-        buffer.seek(0)
-        reloaded = read_trace(buffer)
-        original_events = [
-            (e.user_id, e.day, e.old.ip, e.new.ip)
-            for d in sorted(
-                world.workload.user_days[:40],
-                key=lambda d: (d.user_id, d.day),
-            )
-            for e in d.transitions()
-        ]
-        recovered_events = [
-            (e.user_id, e.day, e.old.ip, e.new.ip)
-            for d in reloaded
-            for e in d.transitions()
-        ]
-        assert original_events == recovered_events
 
 
 class TestCliAgreesWithLibrary:

@@ -1,5 +1,5 @@
-"""Tests for measurement instruments: vantage fleet, controller,
-RouteViews/RIPE routers, and the NomadLog app pipeline."""
+"""Tests for measurement instruments: vantage fleet, controller, and
+RouteViews/RIPE routers."""
 
 import pytest
 
@@ -15,15 +15,11 @@ from repro.measurement import (
     ROUTEVIEWS_SPECS,
     MeasurementConfig,
     MeasurementController,
-    NomadLogApp,
-    NomadLogDatabase,
     VantageFleet,
     build_ripe_routers,
     build_routeviews_routers,
-    collect_logs,
     rib_rows,
 )
-from repro.mobility import MobilityWorkloadConfig, generate_workload
 from repro.routing import RoutingOracle
 from repro.topology import Relationship, generate_as_topology
 
@@ -96,13 +92,6 @@ class TestMeasurementController:
             assert [a.set_at(h) for h in range(0, 72, 5)] == [
                 b.set_at(h) for h in range(0, 72, 5)
             ]
-
-    def test_all_events_iterates(self, measured):
-        _, measurement = measured
-        events = list(measurement.all_events())
-        assert len(events) == sum(
-            measurement.timeline(n).num_changes() for n in measurement.names()
-        )
 
 
 def span_paths(spans, path=()):
@@ -214,58 +203,3 @@ class TestRouterConstruction:
             assert "/" in prefix_text
             assert local_pref == 0  # as in the real dumps (§6.2.1)
             assert str(next_hop) == as_path.split()[0]
-
-
-class TestNomadLogPipeline:
-    @pytest.fixture(scope="class")
-    def database(self, topo):
-        workload = generate_workload(
-            topo, MobilityWorkloadConfig(num_users=40, num_days=4, seed=3)
-        )
-        return collect_logs(workload, seed=3)
-
-    def test_device_ids_hashed(self, database):
-        for device in database.devices():
-            assert len(device) == 16
-            int(device, 16)  # hex digest prefix
-
-    def test_rows_sorted_per_device(self, database):
-        device = database.devices()[0]
-        rows = database.rows_for(device)
-        times = [r.time_hours for r in rows]
-        assert times == sorted(times)
-
-    def test_rows_have_paper_schema(self, database):
-        row = database.rows[0]
-        device_id, time_hours, ip, net_type, latlon = row.as_tuple()
-        assert isinstance(ip, str) and ip.count(".") == 3
-        assert net_type in ("wifi", "cellular")
-
-    def test_short_user_filter(self):
-        db = NomadLogDatabase()
-        app = NomadLogApp("shorty")
-        app.record_connectivity_event(0.0, "1.1.1.1", "wifi")
-        app.record_connectivity_event(2.0, "1.1.1.2", "wifi")
-        app.try_upload(on_wifi=True, on_power=True)
-        db.ingest(app.uploaded)
-        assert db.devices()
-        assert db.filter_short_users(min_days=1.0).devices() == []
-
-    def test_upload_requires_wifi_and_power(self):
-        app = NomadLogApp("u")
-        app.record_connectivity_event(0.0, "1.1.1.1", "cellular")
-        assert app.try_upload(on_wifi=False, on_power=True) == 0
-        assert app.try_upload(on_wifi=True, on_power=False) == 0
-        assert app.pending() == 1
-        assert app.try_upload(on_wifi=True, on_power=True) == 1
-        assert app.pending() == 0
-
-    def test_gps_permission_respected(self):
-        app = NomadLogApp("u", gps_permission=False)
-        app.record_connectivity_event(0.0, "1.1.1.1", "wifi", latlon=(1.0, 2.0))
-        app.try_upload(on_wifi=True, on_power=True)
-        assert app.uploaded[0].latlon is None
-
-    def test_database_covers_most_users(self, database):
-        # 40 simulated users; nearly all run for the full 4 days.
-        assert len(database.devices()) >= 35

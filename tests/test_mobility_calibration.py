@@ -29,7 +29,7 @@ def workload():
 
 @pytest.fixture(scope="module")
 def averages(workload):
-    return user_averages(workload.user_days)
+    return user_averages(workload.segments, workload.user_ids)
 
 
 class TestFig6DistinctLocations:
@@ -82,10 +82,9 @@ class TestFig7Transitions:
     def test_transitions_at_least_locations_minus_one(self, workload):
         from repro.mobility import day_stats
 
-        for ud in workload.user_days[:300]:
-            s = day_stats(ud)
-            assert s.ip_transitions >= s.distinct_ips - 1
-            assert s.as_transitions >= s.distinct_ases - 1
+        s = day_stats(workload.segments)
+        assert (s.ip_transitions >= s.distinct_ips - 1).all()
+        assert (s.as_transitions >= s.distinct_ases - 1).all()
 
 
 class TestFig9DominantResidence:
@@ -93,7 +92,7 @@ class TestFig9DominantResidence:
 
     @pytest.fixture(scope="class")
     def samples(self, workload):
-        return dominant_residence_samples(workload.user_days)
+        return dominant_residence_samples(workload.segments)
 
     def test_about_40pct_exceed_70pct_at_dominant_ip(self, samples):
         ip, _, _ = samples

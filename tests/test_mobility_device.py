@@ -1,8 +1,7 @@
 """Tests for the behavioural device model.
 
 The simulator emits rows; these tests read each attach as a
-``NetworkLocation`` and each day through the workload's ``UserDay``
-view of its segment table.
+``NetworkLocation`` and each day as its checked segment table.
 """
 
 import random
@@ -12,7 +11,6 @@ import pytest
 from repro.mobility import (
     AccessNetwork,
     HOURS_PER_DAY,
-    MobilityWorkload,
     NetworkLocation,
     UserClass,
     UserProfile,
@@ -29,10 +27,14 @@ def attach(net, rng):
 
 
 def simulate_day(profile, day, rng, weekend=False):
-    """One simulated day, read through the workload's ``UserDay`` view."""
+    """One simulated day as a checked segment table."""
     rows = simulate_user_day(profile, day, rng, weekend=weekend)
-    table = segment_table([(0, day, rows)])
-    return MobilityWorkload([profile], table, topology=None).user_days[0]
+    return segment_table([(0, day, rows)])
+
+
+def hours_in(table, asn):
+    """Hours the day spends in ``asn``."""
+    return sum(table["duration"][table["asn"] == asn].tolist())
 
 
 def wifi_net(asn=100, prefix="10.0.0.0/16"):
@@ -111,7 +113,7 @@ class TestSimulatedDays:
         rng = random.Random(5)
         for day in range(10):
             ud = simulate_day(p, day, rng)
-            total = sum(s.duration_hours for s in ud.segments)
+            total = sum(ud["duration"].tolist())
             assert total == pytest.approx(HOURS_PER_DAY)
 
     def test_homebody_mostly_home(self):
@@ -121,20 +123,17 @@ class TestSimulatedDays:
         fractions = []
         for day in range(30):
             ud = simulate_day(p, day, rng)
-            home_hours = sum(
-                s.duration_hours for s in ud.segments if s.location.asn == home_asn
-            )
-            fractions.append(home_hours / HOURS_PER_DAY)
+            fractions.append(hours_in(ud, home_asn) / HOURS_PER_DAY)
         assert sum(fractions) / len(fractions) > 0.8
 
     def test_cellular_commuter_day_shape(self):
         p = profile(UserClass.CELLULAR_COMMUTER)
         rng = random.Random(7)
         ud = simulate_day(p, 0, rng, weekend=False)
-        types = [s.net_type for s in ud.segments]
-        assert types[0] == "wifi"
-        assert types[-1] == "wifi"
-        assert "cellular" in types
+        cellular = ud["cellular"].tolist()
+        assert cellular[0] is False
+        assert cellular[-1] is False
+        assert True in cellular
 
     def test_commuter_weekend_suppresses_commute(self):
         p = profile(UserClass.WIFI_COMMUTER)
@@ -143,9 +142,7 @@ class TestSimulatedDays:
         weekend_work_hours = 0.0
         for day in range(20):
             ud = simulate_day(p, day, rng, weekend=True)
-            weekend_work_hours += sum(
-                s.duration_hours for s in ud.segments if s.location.asn == work_asn
-            )
+            weekend_work_hours += hours_in(ud, work_asn)
         assert weekend_work_hours == 0.0
 
     def test_wifi_commuter_visits_three_ases(self):
@@ -154,22 +151,21 @@ class TestSimulatedDays:
         seen = set()
         for day in range(10):
             ud = simulate_day(p, day, rng, weekend=False)
-            seen |= {s.location.asn for s in ud.segments}
+            seen |= set(ud["asn"].tolist())
         assert {p.home.asn, p.work.asn, p.cellular.asn} <= seen
 
     def test_nomad_flaps_heavily(self):
         p = profile(UserClass.NOMAD, attach_period_hours=0.8, activity=1.5)
         rng = random.Random(10)
         ud = simulate_day(p, 0, rng)
-        ips = {s.location.ip for s in ud.segments}
-        assert len(ips) >= 8
+        assert len(set(ud["ip"].tolist())) >= 8
 
     def test_cellular_only_never_uses_home(self):
         p = profile(UserClass.CELLULAR_ONLY, home=None, venues=[])
         rng = random.Random(11)
         for day in range(5):
             ud = simulate_day(p, day, rng)
-            assert all(s.location.asn == p.cellular.asn for s in ud.segments)
+            assert set(ud["asn"].tolist()) == {p.cellular.asn}
 
     def test_home_lease_churn(self):
         p = profile(UserClass.WIFI_HOMEBODY, home_lease_churn=1.0)
@@ -177,9 +173,7 @@ class TestSimulatedDays:
         ips = set()
         for day in range(8):
             ud = simulate_day(p, day, rng)
-            ips |= {
-                s.location.ip for s in ud.segments if s.location.asn == p.home.asn
-            }
+            ips |= set(ud["ip"][ud["asn"] == p.home.asn].tolist())
         assert len(ips) >= 4  # fresh home address nearly every day
 
     def test_deterministic_given_seed(self):
@@ -187,4 +181,4 @@ class TestSimulatedDays:
         p2 = profile(UserClass.CELLULAR_COMMUTER)
         d1 = simulate_day(p1, 0, random.Random(13))
         d2 = simulate_day(p2, 0, random.Random(13))
-        assert [s.location for s in d1.segments] == [s.location for s in d2.segments]
+        assert d1.tolist() == d2.tolist()

@@ -1,8 +1,8 @@
-"""Tests for multihomed device timelines."""
+"""Tests for multihomed device timelines, built from segment rows."""
 
 import pytest
 
-from repro.mobility import DaySegment, NetworkLocation, UserDay
+from repro.mobility import NetworkLocation, segment_table
 from repro.mobility.multihoming import build_multihomed_timeline
 from repro.net import parse_address, parse_prefix
 
@@ -17,112 +17,133 @@ CELL2 = loc("10.1.4.2", "10.1.0.0/16", 200)
 WORK = loc("10.2.0.7", "10.2.0.0/16", 300)
 
 
-def make_day(specs, user="u1", day=0):
-    segments = []
-    cursor = 0.0
-    for location, duration, net_type in specs:
-        segments.append(
-            DaySegment(
-                location=location,
-                start_hour=cursor,
-                duration_hours=duration,
-                net_type=net_type,
-            )
-        )
-        cursor += duration
-    return UserDay(user_id=user, day=day, segments=segments)
+def make_rows(*days):
+    """One segment table of ``(user, day, specs)`` days, each spec a
+    ``(location, hours, net type)`` stay from hour 0."""
+    built = []
+    for user, day, specs in days:
+        rows, cursor = [], 0.0
+        for location, duration, net_type in specs:
+            site = (location.ip.value, location.prefix, location.asn)
+            rows.append((site, cursor, duration, net_type == "cellular"))
+            cursor += duration
+        built.append((user, day, rows))
+    return segment_table(built)
+
+
+def make_day(specs, day=0):
+    return make_rows((0, day, specs))
+
+
+def sets(*addresses):
+    return frozenset(location.ip for location in addresses)
 
 
 class TestSingleRadio:
     def test_sets_are_singletons(self):
-        day = make_day(
+        rows = make_day(
             [(HOME, 8.0, "wifi"), (CELL, 8.0, "cellular"), (HOME, 8.0, "wifi")]
         )
-        timeline = build_multihomed_timeline([day], dual_radio=False)
+        timeline = build_multihomed_timeline("u1", rows, dual_radio=False)
+        assert timeline.changes == [
+            (0.0, sets(HOME)), (8.0, sets(CELL)), (16.0, sets(HOME)),
+        ]
         for _, addrs in timeline.changes:
             assert len(addrs) == 1
 
     def test_events_match_ip_transitions(self):
-        day = make_day(
+        rows = make_day(
             [(HOME, 8.0, "wifi"), (CELL, 8.0, "cellular"), (HOME, 8.0, "wifi")]
         )
-        timeline = build_multihomed_timeline([day], dual_radio=False)
-        assert len(timeline.events()) == 2
+        timeline = build_multihomed_timeline("u1", rows, dual_radio=False)
+        # Two moves: one change point each after the initial set.
+        assert len(timeline.changes) - 1 == 2
+        assert timeline.user_id == "u1" and not timeline.dual_radio
 
 
 class TestDualRadio:
     def test_cellular_anchor_joins_wifi_set(self):
-        day = make_day(
+        rows = make_day(
             [(CELL, 8.0, "cellular"), (HOME, 1.0, "wifi"),
              (CELL2, 15.0, "cellular")]
         )
         timeline = build_multihomed_timeline(
-            [day], dual_radio=True, cellular_hold_hours=2.0
+            "u1", rows, dual_radio=True, cellular_hold_hours=2.0
         )
         # During the WiFi hour the set holds both addresses.
-        assert timeline.set_at(8.5) == frozenset({HOME.ip, CELL.ip})
+        assert timeline.changes == [
+            (0.0, sets(CELL)), (8.0, sets(HOME, CELL)), (9.0, sets(CELL2)),
+        ]
 
     def test_hold_expires_mid_segment(self):
-        day = make_day(
-            [(CELL, 4.0, "cellular"), (HOME, 20.0, "wifi")]
-        )
+        rows = make_day([(CELL, 4.0, "cellular"), (HOME, 20.0, "wifi")])
         timeline = build_multihomed_timeline(
-            [day], dual_radio=True, cellular_hold_hours=2.0
+            "u1", rows, dual_radio=True, cellular_hold_hours=2.0
         )
-        assert CELL.ip in timeline.set_at(5.0)
-        assert CELL.ip not in timeline.set_at(7.0)
         # The expiry is its own change point.
-        hours = [h for h, _ in timeline.changes]
-        assert any(abs(h - 6.0) < 1e-9 for h in hours)
+        assert timeline.changes == [
+            (0.0, sets(CELL)), (4.0, sets(HOME, CELL)), (6.0, sets(HOME)),
+        ]
 
     def test_no_anchor_before_first_cellular(self):
-        day = make_day(
-            [(HOME, 8.0, "wifi"), (CELL, 16.0, "cellular")]
-        )
-        timeline = build_multihomed_timeline([day], dual_radio=True)
-        assert timeline.set_at(1.0) == frozenset({HOME.ip})
+        rows = make_day([(HOME, 8.0, "wifi"), (CELL, 16.0, "cellular")])
+        timeline = build_multihomed_timeline("u1", rows, dual_radio=True)
+        assert timeline.changes == [(0.0, sets(HOME)), (8.0, sets(CELL))]
 
     def test_wifi_flap_keeps_best_anchor_constant(self):
         # home -> cell -> work -> cell: during work, the set still
         # holds the latest cellular address.
-        day = make_day(
+        rows = make_day(
             [(HOME, 6.0, "wifi"), (CELL, 2.0, "cellular"),
              (WORK, 1.0, "wifi"), (CELL2, 15.0, "cellular")]
         )
         timeline = build_multihomed_timeline(
-            [day], dual_radio=True, cellular_hold_hours=3.0
+            "u1", rows, dual_radio=True, cellular_hold_hours=3.0
         )
-        assert timeline.set_at(8.5) == frozenset({WORK.ip, CELL.ip})
+        assert timeline.changes == [
+            (0.0, sets(HOME)), (6.0, sets(CELL)), (8.0, sets(WORK, CELL)),
+            (9.0, sets(CELL2)),
+        ]
 
     def test_multiday_span(self):
-        days = [
-            make_day([(HOME, 24.0, "wifi")], day=0),
-            make_day([(CELL, 24.0, "cellular")], day=1),
-        ]
-        timeline = build_multihomed_timeline(days, dual_radio=True)
-        assert timeline.set_at(3.0) == frozenset({HOME.ip})
-        assert timeline.set_at(30.0) == frozenset({CELL.ip})
+        rows = make_rows(
+            (0, 0, [(HOME, 24.0, "wifi")]),
+            (0, 1, [(CELL, 24.0, "cellular")]),
+        )
+        timeline = build_multihomed_timeline("u1", rows, dual_radio=True)
+        assert timeline.changes == [(0.0, sets(HOME)), (24.0, sets(CELL))]
+
+    def test_days_taken_in_day_order(self):
+        rows = make_rows(
+            (0, 1, [(CELL, 24.0, "cellular")]),
+            (0, 0, [(HOME, 24.0, "wifi")]),
+        )
+        timeline = build_multihomed_timeline("u1", rows, dual_radio=True)
+        assert timeline.changes == [(0.0, sets(HOME)), (24.0, sets(CELL))]
 
     def test_events_have_changes(self):
-        day = make_day(
+        rows = make_day(
             [(CELL, 8.0, "cellular"), (HOME, 8.0, "wifi"),
              (CELL2, 8.0, "cellular")]
         )
-        timeline = build_multihomed_timeline([day], dual_radio=True)
-        for event in timeline.events():
-            assert event.old_addrs != event.new_addrs
-            assert event.added() or event.removed()
+        timeline = build_multihomed_timeline("u1", rows, dual_radio=True)
+        assert timeline.changes == [
+            (0.0, sets(CELL)), (8.0, sets(HOME, CELL)), (10.0, sets(HOME)),
+            (16.0, sets(CELL2)),
+        ]
+        for (_, old), (_, new) in zip(timeline.changes, timeline.changes[1:]):
+            assert old != new
 
 
 class TestValidation:
     def test_requires_days(self):
-        with pytest.raises(ValueError):
-            build_multihomed_timeline([], dual_radio=True)
+        with pytest.raises(ValueError, match="at least one segment"):
+            build_multihomed_timeline("u1", make_rows(), dual_radio=True)
 
     def test_requires_single_user(self):
-        days = [
-            make_day([(HOME, 24.0, "wifi")], user="a"),
-            make_day([(HOME, 24.0, "wifi")], user="b"),
-        ]
-        with pytest.raises(ValueError):
-            build_multihomed_timeline(days, dual_radio=True)
+        rows = make_rows(
+            (0, 0, [(HOME, 24.0, "wifi")]),
+            (1, 0, [(HOME, 24.0, "wifi")]),
+        )
+        with pytest.raises(ValueError, match="multiple users"):
+            build_multihomed_timeline("u1", rows, dual_radio=True)

@@ -1,9 +1,10 @@
 """The mobility workload's segment table against the object simulator.
 
 ``generate_workload`` writes one segment table and checks it once;
-``as_columns`` gathers its events with numpy; ``user_days`` is a view
-built on first access. ``tests/reference/mobility.py`` is the object
-simulator all three replaced, and the tests here hold them to it on
+``as_columns`` gathers its events with numpy; the Fig. 6/7/9, Fig. 10,
+fib-size and multihoming readers reduce the table's columns.
+``tests/reference/mobility.py`` is the object simulator and the object
+readers all of these replaced, and the tests here hold them to it on
 drawn configs, then pin each table check to the ``ValueError`` its
 record object raises.
 """
@@ -17,22 +18,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.experiments.exp_fib_size import dominant_addresses
+from repro.experiments.exp_fig10 import home_visits
 from repro.mobility import (
     CLASS_WEIGHTS,
-    DaySegment,
+    DayStats,
     MobilityWorkloadConfig,
     NetworkLocation,
     UserClass,
-    UserDay,
+    build_multihomed_timeline,
     check_segments,
+    day_stats,
+    dominant_residence_samples,
     generate_workload,
     segment_table,
+    user_averages,
 )
 from repro.net import IPv4Address, IPv4Prefix
 from repro.topology import ASTopologyConfig, generate_as_topology
 from repro.workload import DeviceEventColumns
 from repro.workload.columns import SEGMENT_DTYPE, segment_moves
+from tests.reference import experiments as reference_experiments
 from tests.reference import mobility as reference
+from tests.reference.mobility import DaySegment, UserDay
 
 #: The default ~400-AS Internet and a 2,124-AS one.
 TOPOLOGIES = {
@@ -96,7 +104,10 @@ class TestObjectSimulatorParity:
         assert metrics.counters.get("mobility.generate.events", 0) == len(
             expected
         )
-        assert workload.user_days == user_days
+        assert reference.user_days(workload) == user_days
+        assert workload.all_transitions() == [
+            event for ud in user_days for event in ud.transitions()
+        ]
 
     def test_generation_builds_no_record_objects(self, topology, monkeypatch):
         def refuse(self, *args, **kwargs):
@@ -109,20 +120,86 @@ class TestObjectSimulatorParity:
             topology, MobilityWorkloadConfig(num_users=30, num_days=3)
         )
         assert len(workload.as_columns()) > 0
-        # The view is where records are built.
+        # The statistics, fig10 and fib-size readers build none either.
+        segments = workload.segments
+        assert len(day_stats(segments).user) == 30 * 3
+        home_visits(segments), dominant_addresses(segments)
+        # The object events are where records are built.
         with pytest.raises(AssertionError, match="built a"):
-            workload.user_days
+            workload.all_transitions()
 
     def test_pickle_carries_the_table_not_the_views(self, topology):
         workload = generate_workload(
             topology, MobilityWorkloadConfig(num_users=10, num_days=2)
         )
-        days, columns = workload.user_days, workload.as_columns()
+        columns = workload.as_columns()
         copy = pickle.loads(pickle.dumps(workload))
-        assert copy._user_days is None and copy._columns is None
+        assert copy._columns is None
         assert copy.segments.tobytes() == workload.segments.tobytes()
-        assert copy.user_days == days
+        assert copy.user_ids == workload.user_ids
         assert copy.as_columns().table.tobytes() == columns.table.tobytes()
+
+
+class TestTableReaders:
+    """Each table reduction equals its object reader on drawn configs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=configs)
+    def test_statistics_match_the_object_readers(self, topology, cfg):
+        workload = generate_workload(topology, cfg)
+        segments, users = workload.segments, workload.user_ids
+        days = reference.user_days(workload)
+
+        stats = day_stats(segments)
+        expected = [reference.day_stats(ud) for ud in days]
+        assert [users[u] for u in stats.user.tolist()] == [
+            s.user_id for s in expected
+        ]
+        for name in DayStats._fields[1:]:
+            assert getattr(stats, name).tolist() == [
+                getattr(s, name) for s in expected
+            ], name
+        assert user_averages(segments, users) == reference.user_averages(days)
+        assert dominant_residence_samples(segments) == (
+            reference.dominant_residence_samples(days)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=configs)
+    def test_fig10_and_fib_size_match_the_object_readers(self, topology, cfg):
+        workload = generate_workload(topology, cfg)
+        days = reference.user_days(workload)
+        assert home_visits(workload.segments) == (
+            reference_experiments.home_visits(days)
+        )
+        dominant, day = dominant_addresses(workload.segments)
+        assert dominant.tolist() == reference_experiments.dominant_addresses(
+            days
+        )
+        assert day.tolist() == [
+            index for index, ud in enumerate(days) for _ in ud.segments
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=configs, flip=st.booleans(),
+           hold=st.floats(0.0, 6.0, allow_nan=False))
+    def test_multihomed_change_points(self, topology, cfg, flip, hold):
+        workload = generate_workload(topology, cfg)
+        segments = workload.segments
+        by_user = {}
+        for ud in reference.user_days(workload):
+            by_user.setdefault(ud.user_id, []).append(ud)
+        for index, user_id in enumerate(workload.user_ids):
+            # Every other user is dual-radio.
+            dual = (index % 2 == 0) != flip
+            table = build_multihomed_timeline(
+                user_id, segments[segments["user"] == index], dual, hold
+            )
+            objects = reference.build_multihomed_timeline(
+                by_user[user_id], dual, hold
+            )
+            assert table.changes == objects.changes
+            assert (table.user_id, table.dual_radio) == (user_id, dual)
 
 
 def segments(rows):

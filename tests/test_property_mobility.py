@@ -1,9 +1,8 @@
 """Property-based tests: invariants of the behavioural device model.
 
 Hypothesis drives the simulator with arbitrary (valid) profile
-parameters; every generated day, read through the workload's
-``UserDay`` view of its segment table, must satisfy the structural
-invariants the statistics layer depends on.
+parameters; every generated day, as a checked segment table, must
+satisfy the structural invariants the statistics layer depends on.
 """
 
 import random
@@ -14,21 +13,27 @@ from hypothesis import strategies as st
 from repro.mobility import (
     HOURS_PER_DAY,
     AccessNetwork,
-    MobilityWorkload,
     UserClass,
     UserProfile,
     day_stats,
     segment_table,
     simulate_user_day,
 )
-from repro.net import IPv4Prefix
+from repro.net import IPv4Address, IPv4Prefix
+from repro.workload import DeviceEventColumns
 
 
 def simulate_day(profile, day, rng, weekend=False):
-    """One simulated day, read through the workload's ``UserDay`` view."""
+    """One simulated day as a checked segment table."""
     rows = simulate_user_day(profile, day, rng, weekend=weekend)
-    table = segment_table([(0, day, rows)])
-    return MobilityWorkload([profile], table, topology=None).user_days[0]
+    return segment_table([(0, day, rows)])
+
+
+def one_day_stats(table):
+    """The statistics of a one-day table, one value per column."""
+    stats = day_stats(table)
+    assert len(stats.user) == 1
+    return type(stats)(*(column.tolist()[0] for column in stats))
 
 
 def wifi(asn, index):
@@ -75,10 +80,10 @@ class TestDayInvariants:
            st.integers(0, 2**31))
     def test_day_structurally_valid(self, profile, day, weekend, seed):
         rng = random.Random(seed)
-        user_day = simulate_day(profile, day, rng, weekend=weekend)
+        table = simulate_day(profile, day, rng, weekend=weekend)
         # The segment table's checks enforce contiguity/coverage; check
         # the derived stats invariants on top.
-        stats = day_stats(user_day)
+        stats = one_day_stats(table)
         assert stats.distinct_ips >= stats.distinct_prefixes >= (
             stats.distinct_ases
         )
@@ -88,22 +93,22 @@ class TestDayInvariants:
         assert stats.ip_transitions >= stats.distinct_ips - 1
         assert 0.0 < stats.dominant_ip_fraction <= 1.0
         assert stats.dominant_as_fraction >= stats.dominant_ip_fraction - 1e-9
-        assert abs(sum(stats.hours_by_asn.values()) - HOURS_PER_DAY) < 1e-6
+        assert abs(sum(table["duration"].tolist()) - HOURS_PER_DAY) < 1e-6
 
     @settings(max_examples=100, deadline=None)
     @given(profile_strategy, st.integers(0, 2**31))
     def test_locations_come_from_profile_networks(self, profile, seed):
         rng = random.Random(seed)
-        user_day = simulate_day(profile, 0, rng)
+        table = simulate_day(profile, 0, rng)
         allowed = {profile.cellular.asn}
         if profile.home:
             allowed.add(profile.home.asn)
         if profile.work:
             allowed.add(profile.work.asn)
         allowed |= {v.asn for v in profile.venues}
-        for segment in user_day.segments:
-            assert segment.location.asn in allowed
-            assert segment.location.prefix.contains(segment.location.ip)
+        for ip, net, length, asn in table[["ip", "net", "len", "asn"]].tolist():
+            assert asn in allowed
+            assert IPv4Prefix(net, length).contains(IPv4Address(ip))
 
     @settings(max_examples=100, deadline=None)
     @given(profile_strategy, st.integers(0, 2**31))
@@ -116,14 +121,12 @@ class TestDayInvariants:
         day_b = simulate_day(
             copy.deepcopy(profile), 0, random.Random(seed)
         )
-        assert [s.location for s in day_a.segments] == [
-            s.location for s in day_b.segments
-        ]
+        assert day_a.tolist() == day_b.tolist()
 
     @settings(max_examples=60, deadline=None)
     @given(profile_strategy, st.integers(0, 2**31))
     def test_transition_count_matches_events(self, profile, seed):
         rng = random.Random(seed)
-        user_day = simulate_day(profile, 0, rng)
-        stats = day_stats(user_day)
-        assert len(user_day.transitions()) == stats.ip_transitions
+        table = simulate_day(profile, 0, rng)
+        events = DeviceEventColumns.from_segments(table, ("u",))
+        assert len(events) == one_day_stats(table).ip_transitions

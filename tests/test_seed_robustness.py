@@ -32,26 +32,26 @@ def workload(request, topology):
 
 class TestShapesAcrossSeeds:
     def test_fig6_medians(self, workload):
-        averages = user_averages(workload.user_days)
+        averages = user_averages(workload.segments, workload.user_ids)
         med_ips = percentile([u.avg_distinct_ips for u in averages], 0.5)
         med_ases = percentile([u.avg_distinct_ases for u in averages], 0.5)
         assert 2.0 <= med_ips <= 6.0
         assert 1.2 <= med_ases <= 3.0
 
     def test_fig6_heavy_tail(self, workload):
-        averages = user_averages(workload.user_days)
+        averages = user_averages(workload.segments, workload.user_ids)
         frac = sum(
             1 for u in averages if u.avg_distinct_ips > 10
         ) / len(averages)
         assert 0.08 <= frac <= 0.45
 
     def test_fig7_transitions(self, workload):
-        averages = user_averages(workload.user_days)
+        averages = user_averages(workload.segments, workload.user_ids)
         med_ip_t = percentile([u.avg_ip_transitions for u in averages], 0.5)
         assert 2.0 <= med_ip_t <= 7.0
 
     def test_fig9_dominance(self, workload):
-        ip, _, asn = dominant_residence_samples(workload.user_days)
+        ip, _, asn = dominant_residence_samples(workload.segments)
         frac_ip = sum(1 for v in ip if v > 0.70) / len(ip)
         frac_as = sum(1 for v in asn if v > 0.85) / len(asn)
         assert 0.2 <= frac_ip <= 0.7

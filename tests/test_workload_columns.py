@@ -11,7 +11,6 @@ from repro.mobility import (
     MobilityEvent,
     MobilityWorkloadConfig,
     NetworkLocation,
-    events_as_columns,
     generate_workload,
 )
 from repro.net import ContentName, IPv4Address, IPv4Prefix, parse_address
@@ -64,17 +63,18 @@ class TestRoundTrip:
             assert columns[i] == event
             assert columns.event(i) == event
 
-    def test_events_as_columns_helper(self):
+    def test_to_events_shares_one_location_per_site(self):
         a = NetworkLocation(
             parse_address("10.0.0.1"), IPv4Prefix(10 << 24, 8), 65000
         )
         b = NetworkLocation(
             parse_address("10.0.0.2"), IPv4Prefix(10 << 24, 8), 65001
         )
-        event = MobilityEvent("u", 3, 7.5, a, b)
-        columns = events_as_columns([event])
-        assert isinstance(columns, DeviceEventColumns)
-        assert columns.to_events() == [event]
+        events = [MobilityEvent("u", 3, 7.5, a, b),
+                  MobilityEvent("v", 3, 9.0, b, a)]
+        first, second = DeviceEventColumns.from_events(events).to_events()
+        assert [first, second] == events
+        assert first.old is second.new and first.new is second.old
 
 
 class TestWorkloadTable:
