@@ -25,6 +25,7 @@ from ..engine import Series, register
 from ..forwarding import ConvergenceSimulator
 from ..resolution import TtlPoint, simulate_ttl
 from ..topology import binary_tree_topology, chain_topology, clique_topology
+from ..workload import DeviceEventColumns
 from .context import World
 from .report import banner, render_table
 
@@ -77,7 +78,9 @@ def run(
     users = columns.table["user"]
     busiest = np.bincount(users).argmax()
     ttl_points = simulate_ttl(
-        [columns.event(i) for i in np.flatnonzero(users == busiest)],
+        DeviceEventColumns(
+            columns.table[users == busiest], columns.users
+        ).to_events(),
         ttls_s=ttls_s,
         seed=seed,
     )
