@@ -15,6 +15,8 @@ Walks the paper's §7 content pipeline on a small scale:
 Run:  python examples/content_mobility_study.py
 """
 
+import bisect
+
 from repro.content import (
     CDNHosting,
     DomainUniverseConfig,
@@ -33,6 +35,7 @@ from repro.measurement import (
     build_routeviews_routers,
 )
 from repro.mobility import percentile
+from repro.net import IPv4Address
 from repro.routing import RoutingOracle
 from repro.topology import generate_as_topology
 
@@ -64,10 +67,14 @@ def main() -> None:
     )
     measurement = controller.measure_universe(universe, popular=True)
     sample = cdn_names[0]
-    timeline = measurement.timeline(sample)
+    matrix = measurement.timeline(sample).as_matrix()
     print(f"   {sample.to_domain()} (CDN-delegated):")
     for hour in (0, 12, 24):
-        addrs = sorted(str(a) for a in timeline.set_at(hour))
+        row = bisect.bisect_right(matrix.hours.tolist(), hour) - 1
+        addrs = sorted(
+            str(IPv4Address(value))
+            for value in matrix.addrs[matrix.membership[row]].tolist()
+        )
         shown = ", ".join(addrs[:4]) + (", ..." if len(addrs) > 4 else "")
         print(f"     hour {hour:2d}: {len(addrs):2d} addrs [{shown}]")
     daily = list(measurement.daily_event_counts().values())

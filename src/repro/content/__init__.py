@@ -18,7 +18,6 @@ from .hosting import (
 )
 from .timeline import (
     AddressTimeline,
-    ContentMobilityEvent,
     build_cdn_timeline,
     build_origin_timeline,
     build_timeline,
@@ -37,7 +36,6 @@ __all__ = [
     "HostingConfig",
     "assign_hosting",
     "AddressTimeline",
-    "ContentMobilityEvent",
     "build_origin_timeline",
     "build_cdn_timeline",
     "build_timeline",

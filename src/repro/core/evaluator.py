@@ -35,7 +35,8 @@ from ..forwarding.convergence import DEFAULT_RETRANSMIT, ConvergenceSimulator
 from ..measurement.vantage import ContentMeasurement
 from ..mobility import MobilityEvent
 from ..resolution import NameResolutionService, RetryingResolver
-from ..routing import RoutingOracle, VantagePoint, rank_key
+from ..routing import RoutingOracle, VantagePoint
+from ..routing.frontier import fib_keys, rank_vectors
 from ..stats import median, sequential_sum
 from ..topology import Graph
 from ..workload import DeviceEventColumns, require_numpy
@@ -47,7 +48,7 @@ from .displacement import (
     event_prefix_ids,
     prefix_ids,
 )
-from .strategies import ContentPortMapper, ForwardingStrategy
+from .strategies import ForwardingStrategy
 
 np = require_numpy()
 
@@ -246,16 +247,15 @@ class ContentUpdateCostEvaluator:
     :meth:`union_table_sizes`,
     :func:`~repro.core.tradeoff.evaluate_tradeoff` and Fig. 12 read it.
     The parity tests hold every read to the per-event §3.3.1
-    definitions of :meth:`ContentPortMapper.update_for_event`,
-    :meth:`ContentPortMapper.best_port` and the §3.3.3 replays in
-    ``tests/reference``.
+    definitions in :mod:`repro.core.strategies` and the §3.3.3 replays
+    in ``tests/reference``.
     """
 
     def __init__(self, routers: Sequence[VantagePoint], oracle: RoutingOracle):
         if not routers:
             raise ValueError("need at least one vantage router")
         self._oracle = oracle
-        self._mappers = [ContentPortMapper(r, oracle) for r in routers]
+        self._routers = list(routers)
         #: ``id(measurement) -> (measurement, costs)``; holding the
         #: measurement keeps its id from passing to another object.
         self._memo: Dict[int, Tuple[ContentMeasurement, ContentCosts]] = {}
@@ -294,8 +294,8 @@ class ContentUpdateCostEvaluator:
         names = measurement.names()
         # [router, strategy in _router_costs' order, (updates,
         # port-hours, entries)]
-        sums = np.zeros((len(self._mappers), 3, 3), dtype=np.int64)
-        hour0_ports: List[List[int]] = [[] for _ in self._mappers]
+        sums = np.zeros((len(self._routers), 3, 3), dtype=np.int64)
+        hour0_ports: List[List[int]] = [[] for _ in self._routers]
         num_events = total_hours = 0
         for batch in _batches([measurement.timeline(n) for n in names]):
             matrices = [timeline.as_matrix() for timeline in batch]
@@ -310,16 +310,18 @@ class ContentUpdateCostEvaluator:
             prefixes, pairs = _prefix_pairs(
                 self._oracle.topology, matrices, rows
             )
-            for costs, ports, mapper in zip(
-                sums, hour0_ports, self._mappers
+            for costs, ports, router in zip(
+                sums, hour0_ports, self._routers
             ):
-                routes = [mapper.route_for_prefix(p) for p in prefixes]
-                initial, router_costs = _router_costs(routes, pairs, rows, stay)
+                initial, router_costs = _router_costs(
+                    fib_keys(router, self._oracle, prefixes),
+                    rank_vectors(router)[0], pairs, rows, stay,
+                )
                 costs += router_costs
                 ports.extend(initial.tolist())
             num_events += rows.count - len(batch)
             total_hours += int(stay.sum())
-        routers = tuple(m.vantage.name for m in self._mappers)
+        routers = tuple(router.name for router in self._routers)
         order = (ForwardingStrategy.BEST_PORT,) + _FLOODING
 
         def per_router(strategy, field) -> Dict[str, int]:
@@ -363,7 +365,9 @@ def _prefix_pairs(topology, matrices: Sequence, rows: _Rows):
     and addresses one prefix covers collapse into one pair per row.
     """
     prefixes, ids = prefix_ids(
-        topology, [a.value for m in matrices for a in m.addrs]
+        topology,
+        np.concatenate([np.zeros(0, dtype=np.int64)]
+                       + [m.addrs for m in matrices]),
     )
     width = max(len(prefixes), 1)
     pair_rows = [np.zeros(0, dtype=np.int32)]
@@ -382,45 +386,45 @@ def _prefix_pairs(topology, matrices: Sequence, rows: _Rows):
     return prefixes, (np.concatenate(pair_rows), np.concatenate(pair_pids))
 
 
-def _row_ports(routes: Sequence, pairs, rows: _Rows):
+def _row_ports(keys, nbr_asns, pairs, rows: _Rows):
     """Each row's best port and eligible-port grid at one router.
 
-    ``routes[i]`` is the router's route to prefix ``i`` (None when it
-    has none). Returns ``(best, grid)``: ``best[r]`` is the port of row
-    ``r``'s best route (-1 when no address in it is routed), and
-    ``grid[r, j]`` says whether the ``j``-th smallest port the routes
-    use is eligible at row ``r``.
+    ``keys[i]`` is the router's :func:`~repro.routing.frontier.fib_keys`
+    key for prefix ``i`` (-1 when it has no route), and ``nbr_asns``
+    its neighbors in key-index order. Returns ``(best, grid)``:
+    ``best[r]`` is the port of row ``r``'s best route (-1 when no
+    address in it is routed), and ``grid[r, j]`` says whether the
+    ``j``-th smallest port the routes use is eligible at row ``r``.
 
-    Parity with the per-event definitions rests on two facts: equal
-    :func:`~repro.routing.rank_key` implies equal next hop (the next
-    hop is the key's final tiebreak), so the row-minimum rank names the
-    best port exactly as :meth:`ContentPortMapper.best_port` does; and
-    a flooding port set is a pure function of the prefixes present in a
-    row.
+    Parity with the per-event definitions rests on two facts: keys
+    order routes across prefixes as the §6.2.1 decision process does
+    (:meth:`~repro.routing.VantagePoint.next_hop_table` states the
+    condition), so the row-minimum key names the per-event best port;
+    and a flooding port set is a pure function of the prefixes present
+    in a row.
     """
     row, pid = pairs
-    keys = [None if r is None else rank_key(r) for r in routes]
-    ranked = {k: i for i, k in enumerate(sorted(set(keys) - {None}))}
-    ports = sorted({r.next_hop for r in routes if r is not None})
-    columns = {port: j for j, port in enumerate(ports)}
-    # Unrouted prefixes take port -1, the last rank and a last, unread
-    # column.
-    port = [-1 if r is None else r.next_hop for r in routes]
-    rank = np.array([ranked.get(k, len(ranked)) for k in keys], dtype=np.int32)
-    column = np.array(
-        [columns.get(p, len(ports)) for p in port], dtype=np.int32
-    )
-    port_of_rank = np.full(len(ranked) + 1, -1, dtype=np.int64)
-    port_of_rank[rank] = port
+    routed = keys >= 0
+    # Per prefix: the dense rank of its key, and the grid column of its
+    # next hop (neighbor indices ascend with ASN). Unrouted prefixes
+    # take the last rank, port -1 and a last, unread column.
+    ranked, rank_of = unique_with_inverse(keys[routed])
+    hops = ranked % len(nbr_asns)
+    used, column_of = unique_with_inverse(hops)
+    rank = np.full(len(keys), len(ranked), dtype=np.int32)
+    rank[routed] = rank_of
+    column = np.full(len(keys), len(used), dtype=np.int32)
+    column[routed] = column_of[rank_of]
+    port_of_rank = np.append(nbr_asns[hops], -1)
 
     best = np.full(rows.count, len(ranked), dtype=np.int32)
     np.minimum.at(best, row, rank[pid])
-    grid = np.zeros((rows.count, len(ports) + 1), dtype=bool)
+    grid = np.zeros((rows.count, len(used) + 1), dtype=bool)
     grid[row, column[pid]] = True
     return port_of_rank[best], grid[:, :-1]
 
 
-def _router_costs(routes: Sequence, pairs, rows: _Rows, stay):
+def _router_costs(keys, nbr_asns, pairs, rows: _Rows, stay):
     """One router's hour-0 best ports and its costs per strategy.
 
     Returns ``(initial, costs)``: ``initial[n]`` is the best port of
@@ -432,7 +436,7 @@ def _router_costs(routes: Sequence, pairs, rows: _Rows, stay):
     function of the prefixes ever seen, so it grows from the rows of
     :func:`_row_ports`' grid.
     """
-    best, grid = _row_ports(routes, pairs, rows)
+    best, grid = _row_ports(keys, nbr_asns, pairs, rows)
 
     def flooding(sizes, changed) -> Tuple[int, int, int]:
         return (
@@ -467,9 +471,9 @@ def address_set_updates(
     The content pass's row reduction for any
     :class:`~repro.workload.AddrsMatrix` timelines, whatever their
     hours: per router, the events of ``matrices`` that change
-    ``best(FIB(R, d, t))`` and ``FIB(R, d, t)``, as
-    :meth:`ContentPortMapper.update_for_event` counts them. Returns
-    ``{strategy: {router name: updates}}``.
+    ``best(FIB(R, d, t))`` and ``FIB(R, d, t)``, as the per-event
+    §3.3.1 test counts them. Returns ``{strategy: {router name:
+    updates}}``.
     """
     rows = _Rows(matrices)
     prefixes, pairs = _prefix_pairs(oracle.topology, matrices, rows)
@@ -477,7 +481,8 @@ def address_set_updates(
     flooding = {}
     for router in routers:
         best, grid = _row_ports(
-            [router.fib_best(oracle, p) for p in prefixes], pairs, rows
+            fib_keys(router, oracle, prefixes), rank_vectors(router)[0],
+            pairs, rows,
         )
         best_port[router.name] = rows.updates(best[1:] != best[:-1])
         flooding[router.name] = rows.updates(

@@ -164,7 +164,3 @@ class UnionFloodingState:
     def table_size(self) -> int:
         """Total accumulated (name, port) state — the cost side."""
         return sum(len(ports) for ports in self._port_union.values())
-
-    def address_union_size(self, name: ContentName) -> int:
-        """How many distinct addresses have been folded in for ``name``."""
-        return len(self._addr_union.get(name, ()))

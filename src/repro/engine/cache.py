@@ -78,7 +78,9 @@ __all__ = [
 #:    ``UserDay`` objects.
 #: 8: mobility workloads lose their ``_user_days`` view slot; every
 #:    reader reduces the segment table.
-GENERATOR_VERSION = 8
+#: 9: pickled measurements carry integer address columns: each
+#:    timeline's ``AddrsMatrix.addrs`` is an int64 array of values.
+GENERATOR_VERSION = 9
 
 #: On-disk entry container version (header format, not payload).
 ENTRY_VERSION = 3

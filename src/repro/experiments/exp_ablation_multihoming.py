@@ -23,7 +23,7 @@ from ..core import (
     address_set_updates,
 )
 from ..engine import Series, register
-from ..mobility.multihoming import MultihomedTimeline, build_multihomed_timeline
+from ..mobility.multihoming import build_multihomed_timeline
 from ..workload import AddrsMatrix
 from .context import World
 from .report import banner, render_table
@@ -68,12 +68,12 @@ def run(
         users[rows["user"][0]]: rows for rows in np.split(table, starts)[1:]
     }
 
-    timelines: List[MultihomedTimeline] = []
+    matrices: List[AddrsMatrix] = []
     dual_count = 0
     for user_id in sorted(by_user):
         dual = rng.random() < dual_radio_prob
         dual_count += int(dual)
-        timelines.append(build_multihomed_timeline(
+        matrices.append(build_multihomed_timeline(
             user_id, by_user[user_id], dual_radio=dual
         ))
 
@@ -81,9 +81,6 @@ def run(
     evaluator = DeviceUpdateCostEvaluator(world.routeviews, world.oracle)
     single = evaluator.evaluate(world.device_event_columns)
     # Multihomed sets: §3.3.1 strategies over the set timelines.
-    matrices = [
-        AddrsMatrix.from_changes(t.user_id, t.changes) for t in timelines
-    ]
     multi = address_set_updates(world.routeviews, world.oracle, matrices)
     events_multi = sum(matrix.num_events for matrix in matrices)
 
@@ -102,7 +99,7 @@ def run(
             multi[ForwardingStrategy.CONTROLLED_FLOODING], events_multi
         ),
         dual_radio_users=dual_count,
-        total_users=len(timelines),
+        total_users=len(matrices),
         events_single=single.num_events,
         events_multi=events_multi,
     )

@@ -110,12 +110,6 @@ class IPlanePredictor:
             return None
         return self.predict_as(src_asn, dst_asn)
 
-    def coverage_rate(self) -> float:
-        """Fraction of AS pairs the predictor would answer for."""
-        measured = sum(1 for v in self._measured.values() if v)
-        total = len(self._measured)
-        return (measured / total) ** 2 if total else 0.0
-
     def shortest_physical_as_hops(
         self, src_asn: int, dst_asn: int
     ) -> Optional[int]:

@@ -24,7 +24,7 @@ from .stats import (
     user_averages,
     user_day_runs,
 )
-from .multihoming import MultihomedTimeline, build_multihomed_timeline
+from .multihoming import build_multihomed_timeline
 from .synth import (
     CLASS_WEIGHTS,
     REGION_WEIGHTS,
@@ -59,6 +59,5 @@ __all__ = [
     "dominant_residence_samples",
     "percentile",
     "cdf_points",
-    "MultihomedTimeline",
     "build_multihomed_timeline",
 ]

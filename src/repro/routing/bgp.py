@@ -315,12 +315,19 @@ class VantagePoint:
 
         Entry ``i`` is the next-hop ASN of :meth:`fib_best` for
         ``prefixes[i]``, or ``-1`` when the collector holds no route —
-        the dense LUT the vectorized evaluators gather through instead
-        of calling :meth:`fib_best` per event.
+        the dense LUT the device evaluator gathers through instead of
+        calling :meth:`fib_best` per event. It is the neighbor that
+        :func:`~repro.routing.frontier.fib_keys` names. ``local_pref``
+        is 0 on every route, so those keys order routes across
+        prefixes exactly as :func:`~repro.routing.ranking.rank_key`
+        does; the content pass ranks address sets by them.
         """
-        from .frontier import next_hop_table_batch
+        from .frontier import fib_keys, rank_vectors
 
         with obs.span("routing.batch.next_hop_table"):
-            table = next_hop_table_batch(self, oracle, prefixes)
+            keys = fib_keys(self, oracle, prefixes)
+            nbr_asns = rank_vectors(self)[0]
+            table = nbr_asns[keys % len(nbr_asns)]
+            table[keys < 0] = -1
         obs.incr("vantage.next_hop_table.prefixes", len(prefixes))
         return table

@@ -48,10 +48,10 @@ its consumers (iPlane, RIB dumps) are unchanged.
 
 The module also vectorizes the §6.2.1 FIB derivation: a table-driven
 CRC-32 reproduces :func:`~repro.routing.ranking.synthetic_med` over
-whole prefix batches, and :func:`next_hop_table_batch` ranks all
-(prefix, neighbor) candidates with one composite-integer argmin —
-including the selective-announcement filter, which needs the *entry
-AS* (the penultimate ASN on each path), carried as a fourth per-
+whole prefix batches, and :func:`fib_keys` ranks all (prefix, neighbor)
+candidates with one composite integer each, keeping each prefix's
+minimum — including the selective-announcement filter, which needs the
+*entry AS* (the penultimate ASN on each path), carried as a fourth per-
 destination vector.
 """
 
@@ -62,6 +62,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .. import obs
 from ..topology import ASTopology, Relationship
 from ..workload import require_numpy
+from .ranking import _REL_RANK
 
 np = require_numpy()
 
@@ -71,7 +72,7 @@ __all__ = [
     "RouteTableBatch",
     "crc32_u64",
     "synthetic_med_batch",
-    "next_hop_table_batch",
+    "fib_keys",
 ]
 
 #: Integer path-type codes (match PathType preference order: lower is
@@ -97,13 +98,6 @@ BLOCK = 256
 #: benchmark's 2,124-AS Internet that halves the fold's time against
 #: settling a whole :data:`BLOCK` of rows at once.
 FOLD_CELLS = 1 << 16
-
-#: Preference order of the relationship rule (mirrors ranking._REL_RANK).
-_REL_RANK = {
-    Relationship.CUSTOMER: 0,
-    Relationship.PEER: 1,
-    Relationship.PROVIDER: 2,
-}
 
 
 def _expand(indptr, indices, states, n):
@@ -633,7 +627,7 @@ def synthetic_med_batch(
     return np.where(frac >= nonzero_fraction, 0, med)
 
 
-# -- vectorized FIB derivation (next-hop LUT) ---------------------------
+# -- vectorized FIB derivation (FIB keys) -------------------------------
 
 def rank_vectors(vantage) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
     """One vantage point's neighbor set as integer rank vectors.
@@ -667,14 +661,23 @@ def _origin(topology: ASTopology, prefix) -> int:
     return -1 if hit is None else hit[1]
 
 
-def next_hop_table_batch(vantage, oracle, prefixes) -> "np.ndarray":
-    """FIB next hops for a prefix batch — array path of
-    :meth:`~repro.routing.bgp.VantagePoint.next_hop_table`.
+def fib_keys(vantage, oracle, prefixes) -> "np.ndarray":
+    """Each prefix's FIB key at ``vantage``, as an int64 array.
 
-    Bit-identical to ranking each prefix's candidate routes with
-    :func:`~repro.routing.ranking.rank_key`: relationship class, path
-    length, MED, and the lowest-next-hop tiebreak fold into one
-    composite integer per (prefix, neighbor), minimized per prefix.
+    The §6.2.1 decision process of
+    :func:`~repro.routing.ranking.rank_key` folds into one composite
+    integer per (prefix, neighbor) candidate::
+
+        ((rel * (n + 2) + path length) * 1024 + MED) * k + neighbor index
+
+    over the ``n`` ASes and the vantage's ``k`` neighbors in ascending
+    ASN order (:func:`rank_vectors`). Entry ``i`` is the minimum over
+    ``prefixes[i]``'s candidates, the key of the route
+    :meth:`~repro.routing.bgp.VantagePoint.fib_best` picks, or -1 when
+    the collector holds no route. ``key % k`` indexes the
+    winning next hop. Every field stays below its factor, so two keys
+    compare as their routes' ``rank_key`` tuples do whenever
+    ``local_pref`` is equal, across prefixes too.
     """
     topo = oracle.topology
     count = len(prefixes)
@@ -737,15 +740,11 @@ def next_hop_table_batch(vantage, oracle, prefixes) -> "np.ndarray":
         stranded = applies & ~filtered.any(axis=1) & valid.any(axis=1)
         valid = np.where(stranded[:, None], valid, filtered)
 
-    # rank_key composite: (rel, path length, MED, neighbor ASN); the
-    # neighbor axis is ASN-ascending so the index is the final tiebreak.
     plen_cap = np.int64(csr.n + 2)
     med_cap = np.int64(1024)
     key = ((rel_ranks[None, :] * plen_cap + plen) * med_cap + med) * k
     key = key + np.arange(k, dtype=np.int64)[None, :]
-    big = np.int64(4) * plen_cap * med_cap * k + k
-    key = np.where(valid, key, big)
-    best_j = np.argmin(key, axis=1)
-    has_route = valid.any(axis=1)
-    table[routable] = np.where(has_route, nbr_asns[best_j], -1)
+    big = np.int64(4) * plen_cap * med_cap * k
+    best = np.where(valid, key, big).min(axis=1)
+    table[routable] = np.where(best < big, best, -1)
     return table

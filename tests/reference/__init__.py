@@ -26,7 +26,11 @@ oracles live here, written the plain way:
     ``deliver_under_faults``.
 :mod:`.content`
     The CDN and origin timeline builders that rebuilt an address set
-    after every event, returning ``(hour, frozenset)`` change points.
+    after every event, returning ``(hour, frozenset)`` change points;
+    ``from_changes``, the ``AddrsMatrix`` built from such points one
+    address at a time; and the timeline readers that return
+    ``IPv4Address`` sets (``set_at``, ``events``, ``change_points``,
+    ``union_all``).
 :mod:`.mobility`
     The object simulator behind ``generate_workload``: each attach a
     ``NetworkLocation``, each stay a checked ``DaySegment``, each day a

@@ -1,30 +1,145 @@
-"""Per-event timeline builders: the bitmask replay's reference.
+"""Object-form address sets: the columnar timelines' reference.
 
 :func:`repro.content.build_cdn_timeline` and
 :func:`repro.content.build_origin_timeline` replay a hosting model over
-address bitmasks and store the result as an ``AddrsMatrix``. These are
-the builders they replaced, written the plain way: the CDN replay
-rebuilds every visible cluster's address set after each pre-drawn event
-and merges same-hour changes into one change point, and the origin
-replay rebuilds its set each hour something moved. Both make the same
-random draws in the same order as ``src/``, and return the
-``(hour, frozenset)`` change points the new builders must reproduce.
+address bitmasks and store the result as an ``AddrsMatrix`` of address
+values, the one form ``src/`` keeps. This module is the object form
+they replaced, written the plain way:
+
+* the builders: the CDN replay rebuilds every visible cluster's address
+  set after each pre-drawn event and merges same-hour changes into one
+  change point, and the origin replay rebuilds its set each hour
+  something moved. Both make the same random draws in the same order
+  as ``src/``, and return the ``(hour, frozenset)`` change points the
+  bitmask builders must reproduce;
+* :func:`from_changes`, the matrix built from such change points one
+  address at a time, which ``AddrsMatrix.from_rows`` must equal;
+* the readers of a timeline as ``IPv4Address`` sets: :func:`set_at`,
+  :func:`events` (as :class:`ContentMobilityEvent` records),
+  :func:`change_points` and :func:`union_all`, with
+  :func:`address_timeline` to build a timeline from change points.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
+from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Set, Tuple
 
-from repro.content import CDNHosting, OriginHosting
-from repro.content.timeline import HOURS_PER_DAY
-from repro.net import IPv4Address
-from repro.topology import ASTopology, Tier
+import numpy as np
 
-__all__ = ["cdn_change_points", "origin_change_points"]
+from repro.content import AddressTimeline, CDNHosting, OriginHosting
+from repro.content.timeline import HOURS_PER_DAY
+from repro.net import ContentName, IPv4Address
+from repro.topology import ASTopology, Tier
+from repro.workload import AddrsMatrix
+
+__all__ = [
+    "cdn_change_points",
+    "origin_change_points",
+    "from_changes",
+    "address_timeline",
+    "ContentMobilityEvent",
+    "points",
+    "change_points",
+    "set_at",
+    "events",
+    "union_all",
+]
 
 ChangePoints = List[Tuple[int, FrozenSet[IPv4Address]]]
+
+
+def from_changes(name, changes) -> AddrsMatrix:
+    """The matrix of ``(hour, address set)`` change points.
+
+    ``hours`` keeps the points' number type: integers for a content
+    timeline's whole hours, float64 for a device's fractional ones.
+    """
+    addrs = sorted(frozenset().union(*(s for _, s in changes)))
+    index = {addr: j for j, addr in enumerate(addrs)}
+    hours = np.array([h for h, _ in changes])
+    membership = np.zeros((len(changes), len(addrs)), dtype=bool)
+    for i, (_, addr_set) in enumerate(changes):
+        for addr in addr_set:
+            membership[i, index[addr]] = True
+    values = np.array([a.value for a in addrs], dtype=np.int64)
+    return AddrsMatrix(name, hours, values, membership)
+
+
+def address_timeline(
+    name: ContentName, total_hours: int, changes
+) -> AddressTimeline:
+    """The timeline of ``(hour, address set)`` change points."""
+    return AddressTimeline(total_hours, from_changes(name, changes))
+
+
+@dataclass(frozen=True)
+class ContentMobilityEvent:
+    """A change of ``Addrs(d, t)`` between consecutive hours."""
+
+    name: ContentName
+    hour: int
+    old_addrs: FrozenSet[IPv4Address]
+    new_addrs: FrozenSet[IPv4Address]
+
+    def added(self) -> FrozenSet[IPv4Address]:
+        """Addresses that appeared."""
+        return self.new_addrs - self.old_addrs
+
+    def removed(self) -> FrozenSet[IPv4Address]:
+        """Addresses that disappeared."""
+        return self.old_addrs - self.new_addrs
+
+
+def points(matrix: AddrsMatrix) -> list:
+    """A matrix's rows as ``(hour, frozenset)`` change points."""
+    addrs = [IPv4Address(value) for value in matrix.addrs.tolist()]
+    return [
+        (hour, frozenset(a for a, held in zip(addrs, row) if held))
+        for hour, row in zip(matrix.hours.tolist(),
+                             matrix.membership.tolist())
+    ]
+
+
+def change_points(timeline: AddressTimeline) -> ChangePoints:
+    """All change points as ``(hour, set)`` pairs, in time order.
+
+    The first pair is the initial set at hour 0; each subsequent pair
+    corresponds to one mobility event.
+    """
+    return points(timeline.as_matrix())
+
+
+def set_at(timeline: AddressTimeline, hour: int) -> FrozenSet[IPv4Address]:
+    """``Addrs(d, hour)``."""
+    if not 0 <= hour < timeline.total_hours:
+        raise ValueError(
+            f"hour {hour} outside 0..{timeline.total_hours - 1}"
+        )
+    changes = change_points(timeline)
+    row = bisect.bisect_right([h for h, _ in changes], hour) - 1
+    return changes[row][1]
+
+
+def events(timeline: AddressTimeline) -> List[ContentMobilityEvent]:
+    """All mobility events, in time order."""
+    changes = change_points(timeline)
+    return [
+        ContentMobilityEvent(
+            name=timeline.name, hour=hour, old_addrs=old, new_addrs=new
+        )
+        for (_, old), (hour, new) in zip(changes, changes[1:])
+    ]
+
+
+def union_all(timeline: AddressTimeline) -> FrozenSet[IPv4Address]:
+    """Every address ever observed for the timeline's name."""
+    return frozenset(
+        IPv4Address(value) for value in timeline.as_matrix().addrs.tolist()
+    )
 
 
 def _geometric_next(rng: random.Random, prob: float) -> int:

@@ -20,6 +20,8 @@ from repro.core import (
 from repro.core.displacement import InterdomainPortMap, interdomain_displaced
 from repro.core.tradeoff import StrategyCosts, TradeoffResult
 
+from .content import events, set_at
+
 __all__ = [
     "device_report",
     "per_day_rates",
@@ -72,15 +74,15 @@ def content_report(
     count = 0
     for name in measurement.names():
         timeline = measurement.timeline(name)
-        events = timeline.events()
-        count += len(events)
+        name_events = events(timeline)
+        count += len(name_events)
         for mapper in mappers:
             union = UnionFloodingState()
             if strategy is ForwardingStrategy.UNION_FLOODING:
                 # Seed the union with the initial address set so only
                 # genuinely new locations count as updates.
-                union.observe(mapper, name, timeline.set_at(0))
-            for event in events:
+                union.observe(mapper, name, set_at(timeline, 0))
+            for event in name_events:
                 if mapper.update_for_event(
                     strategy, event.old_addrs, event.new_addrs, union, name
                 ):
@@ -106,10 +108,9 @@ def time_averaged_port_sets(
         timeline = measurement.timeline(name)
         union_ports: set = set()
         prev_hour = 0
-        current_ports = mapper.eligible_ports(timeline.set_at(0))
+        current_ports = mapper.eligible_ports(set_at(timeline, 0))
         union_ports |= current_ports
-        events = timeline.events()
-        for event in events + [None]:
+        for event in events(timeline) + [None]:
             end_hour = timeline.total_hours if event is None else event.hour
             span = end_hour - prev_hour
             size = len(union_ports) if accumulate else len(current_ports)
@@ -134,8 +135,8 @@ def union_table_sizes(routers, oracle, measurement) -> Dict[str, int]:
         state = UnionFloodingState()
         for name in measurement.names():
             timeline = measurement.timeline(name)
-            state.observe(mapper, name, timeline.set_at(0))
-            for event in timeline.events():
+            state.observe(mapper, name, set_at(timeline, 0))
+            for event in events(timeline):
                 state.observe(mapper, name, event.new_addrs)
         sizes[mapper.vantage.name] = state.table_size()
     return sizes

@@ -36,6 +36,7 @@ from repro.experiments.exp_policy_sensitivity import (
 )
 from repro.mobility import HOURS_PER_DAY
 
+from .content import set_at
 from .mobility import build_multihomed_timeline, day_stats, user_days
 
 __all__ = [
@@ -257,7 +258,7 @@ def router_aggregateability(vantage, oracle, measurement):
     """One router's ``(ratio, complete, lpm)`` over hour-0 address sets."""
     mapper = ContentPortMapper(vantage, oracle)
     address_sets = {
-        name: measurement.timeline(name).set_at(0)
+        name: set_at(measurement.timeline(name), 0)
         for name in measurement.names()
     }
     complete = complete_forwarding_table(mapper, address_sets)

@@ -31,7 +31,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import mobility
 from repro.mobility import (
     HOURS_PER_DAY,
     MobilityEvent,
@@ -747,8 +746,13 @@ class MultihomedEvent:
 
 
 @dataclass
-class MultihomedTimeline(mobility.MultihomedTimeline):
-    """A timeline whose change points read back as events and sets."""
+class MultihomedTimeline:
+    """``Addrs(device, t)`` over a whole trace, as change points that
+    read back as events and sets."""
+
+    user_id: str
+    dual_radio: bool
+    changes: List[Tuple[float, FrozenSet[IPv4Address]]]
 
     def events(self) -> List[MultihomedEvent]:
         """All set-changing events, in time order."""

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.content import AddressTimeline
 from repro.core import evaluator as evaluator_module
 from repro.core import (
     ContentPortMapper,
@@ -45,9 +44,10 @@ from repro.net import ContentName, parse_address, parse_prefix
 from repro.obs.history import digest_series
 from repro.routing import RoutingOracle, VantagePoint
 from repro.topology import Relationship
-from repro.workload import AddrsMatrix, DeviceEventColumns
+from repro.workload import DeviceEventColumns
 
 from tests.reference import experiments as reference_experiments
+from tests.reference.content import address_timeline, from_changes, set_at
 from tests.reference.mobility import MultihomedTimeline
 from tests.reference.evaluators import (
     content_report,
@@ -244,7 +244,7 @@ def content_measurements(draw):
             )
             for _ in range(len(hours) + 1)
         ]
-        timelines.append(AddressTimeline(
+        timelines.append(address_timeline(
             ContentName.from_domain(f"n{index}.com"), total_hours=total,
             changes=list(zip([0] + hours, sets)),
         ))
@@ -271,7 +271,7 @@ class TestContentCostsParity:
         # Fig. 12's complete tables: each name's hour-0 best port.
         for router in routers:
             mapper = ContentPortMapper(router, reference_oracle)
-            ports = [mapper.best_port(meas.timeline(name).set_at(0))
+            ports = [mapper.best_port(set_at(meas.timeline(name), 0))
                      for name in meas.names()]
             assert evaluator.costs(meas).hour0_ports[router.name] == tuple(
                 -1 if port is None else port for port in ports
@@ -503,9 +503,7 @@ class TestDeviceExperimentParity:
 
     def test_one_change_point_has_no_event(self):
         routers, oracle, _ = two_routers()
-        matrix = AddrsMatrix.from_changes(
-            "b", [(0.0, frozenset({L6.ip, L7.ip}))]
-        )
+        matrix = from_changes("b", [(0.0, frozenset({L6.ip, L7.ip}))])
         updates = address_set_updates(routers, oracle, [matrix])
         assert updates == {
             ForwardingStrategy.BEST_PORT: {"vp1": 0, "vp2": 0},
@@ -544,9 +542,7 @@ class TestAddressSetParity:
         best, flooding, _ = reference_experiments.multihomed_updates(
             routers, reference_oracle, timelines
         )
-        matrices = [
-            AddrsMatrix.from_changes(t.user_id, t.changes) for t in timelines
-        ]
+        matrices = [from_changes(t.user_id, t.changes) for t in timelines]
         assert address_set_updates(routers, oracle, matrices) == {
             ForwardingStrategy.BEST_PORT: best,
             ForwardingStrategy.CONTROLLED_FLOODING: flooding,

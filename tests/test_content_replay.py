@@ -24,8 +24,12 @@ from repro.content import (
 )
 from repro.net import ContentName, IPv4Address
 from repro.topology import ASTopologyConfig, generate_as_topology
-from repro.workload import AddrsMatrix
-from tests.reference.content import cdn_change_points, origin_change_points
+from tests.reference.content import (
+    cdn_change_points,
+    change_points,
+    from_changes,
+    origin_change_points,
+)
 
 NAME = ContentName.from_domain("replay.example.com")
 REGIONS = ("us-west", "us-east", "eu-west", "africa")
@@ -45,12 +49,13 @@ def small_topology():
 
 
 def assert_parity(timeline, reference):
-    assert timeline.change_points() == reference
-    expected = AddrsMatrix.from_changes(NAME, reference)
+    assert change_points(timeline) == reference
+    expected = from_changes(NAME, reference)
     matrix = timeline.as_matrix()
     assert matrix.hours.dtype == expected.hours.dtype
     assert matrix.hours.tolist() == expected.hours.tolist()
-    assert matrix.addrs == expected.addrs
+    assert matrix.addrs.dtype == expected.addrs.dtype == np.int64
+    assert matrix.addrs.tolist() == expected.addrs.tolist()
     assert matrix.membership.dtype == expected.membership.dtype
     assert np.array_equal(matrix.membership, expected.membership)
 

@@ -1,4 +1,8 @@
-"""Tests for address timelines and their builders."""
+"""Tests for address timelines and their builders.
+
+Timelines are read back as ``IPv4Address`` sets through the object
+readers in ``tests/reference/content.py``.
+"""
 
 import random
 
@@ -15,6 +19,12 @@ from repro.content import (
     build_timeline,
 )
 from repro.net import ContentName, parse_address
+from tests.reference.content import (
+    address_timeline,
+    events,
+    set_at,
+    union_all,
+)
 
 NAME = ContentName.from_domain("example.com")
 
@@ -25,7 +35,7 @@ def addrs(*texts):
 
 class TestAddressTimeline:
     def make(self):
-        return AddressTimeline(
+        return address_timeline(
             NAME,
             total_hours=48,
             changes=[
@@ -37,56 +47,56 @@ class TestAddressTimeline:
 
     def test_set_at(self):
         tl = self.make()
-        assert tl.set_at(0) == addrs("1.1.1.1")
-        assert tl.set_at(4) == addrs("1.1.1.1")
-        assert tl.set_at(5) == addrs("1.1.1.1", "2.2.2.2")
-        assert tl.set_at(29) == addrs("1.1.1.1", "2.2.2.2")
-        assert tl.set_at(47) == addrs("2.2.2.2")
+        assert set_at(tl, 0) == addrs("1.1.1.1")
+        assert set_at(tl, 4) == addrs("1.1.1.1")
+        assert set_at(tl, 5) == addrs("1.1.1.1", "2.2.2.2")
+        assert set_at(tl, 29) == addrs("1.1.1.1", "2.2.2.2")
+        assert set_at(tl, 47) == addrs("2.2.2.2")
 
     def test_set_at_out_of_range(self):
         tl = self.make()
         with pytest.raises(ValueError):
-            tl.set_at(48)
+            set_at(tl, 48)
         with pytest.raises(ValueError):
-            tl.set_at(-1)
+            set_at(tl, -1)
 
     def test_events(self):
         tl = self.make()
-        events = tl.events()
-        assert len(events) == 2
-        assert events[0].hour == 5
-        assert events[0].added() == addrs("2.2.2.2")
-        assert events[0].removed() == frozenset()
-        assert events[1].removed() == addrs("1.1.1.1")
+        changes = events(tl)
+        assert len(changes) == 2
+        assert changes[0].hour == 5
+        assert changes[0].added() == addrs("2.2.2.2")
+        assert changes[0].removed() == frozenset()
+        assert changes[1].removed() == addrs("1.1.1.1")
 
     def test_daily_event_counts(self):
         tl = self.make()
         assert tl.daily_event_counts() == [1, 1]
 
     def test_union_all(self):
-        assert self.make().union_all() == addrs("1.1.1.1", "2.2.2.2")
+        assert union_all(self.make()) == addrs("1.1.1.1", "2.2.2.2")
 
     def test_num_changes(self):
         assert self.make().num_changes() == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            AddressTimeline(NAME, 10, [])
+            address_timeline(NAME, 10, [])
         with pytest.raises(ValueError):
-            AddressTimeline(NAME, 10, [(1, addrs("1.1.1.1"))])
+            address_timeline(NAME, 10, [(1, addrs("1.1.1.1"))])
         with pytest.raises(ValueError):
-            AddressTimeline(
+            address_timeline(
                 NAME, 10, [(0, addrs("1.1.1.1")), (12, addrs("2.2.2.2"))]
             )
         with pytest.raises(ValueError):
-            AddressTimeline(
+            address_timeline(
                 NAME,
                 10,
                 [(0, addrs("1.1.1.1")), (5, addrs("2.2.2.2")),
                  (5, addrs("3.3.3.3"))],
             )
         with pytest.raises(ValueError):
-            AddressTimeline(NAME, 0, [(0, addrs("1.1.1.1"))])
+            address_timeline(NAME, 0, [(0, addrs("1.1.1.1"))])
 
 
 class TestOriginTimelines:
@@ -99,7 +109,7 @@ class TestOriginTimelines:
         )
         tl = build_origin_timeline(NAME, model, 24 * 21, random.Random(1))
         assert tl.num_changes() == 0
-        assert tl.set_at(100) == addrs("5.5.5.5", "5.5.5.6")
+        assert set_at(tl, 100) == addrs("5.5.5.5", "5.5.5.6")
 
     def test_lb_rotation_produces_events_within_pool(self):
         pool = tuple(parse_address(f"7.7.7.{i}") for i in range(1, 7))
@@ -111,12 +121,12 @@ class TestOriginTimelines:
         )
         tl = build_origin_timeline(NAME, model, 24 * 7, random.Random(2))
         assert tl.num_changes() > 5
-        union = tl.union_all()
+        union = union_all(tl)
         assert parse_address("5.5.5.5") in union
         assert union <= addrs("5.5.5.5") | frozenset(pool)
         # Base address always present.
         for h in range(0, 24 * 7, 13):
-            assert parse_address("5.5.5.5") in tl.set_at(h)
+            assert parse_address("5.5.5.5") in set_at(tl, h)
 
     def test_deterministic_given_rng(self):
         pool = tuple(parse_address(f"7.7.7.{i}") for i in range(1, 7))
@@ -128,8 +138,8 @@ class TestOriginTimelines:
         )
         t1 = build_origin_timeline(NAME, model, 100, random.Random(9))
         t2 = build_origin_timeline(NAME, model, 100, random.Random(9))
-        assert [t1.set_at(h) for h in range(100)] == [
-            t2.set_at(h) for h in range(100)
+        assert [set_at(t1, h) for h in range(100)] == [
+            set_at(t2, h) for h in range(100)
         ]
 
 
@@ -164,7 +174,7 @@ class TestCdnTimelines:
         tl = build_cdn_timeline(NAME, model, 24 * 7, random.Random(4))
         core_asn_pools = [frozenset(c.pool) for c in model.core_clusters]
         for h in range(0, 24 * 7, 7):
-            current = tl.set_at(h)
+            current = set_at(tl, h)
             for pool in core_asn_pools:
                 assert current & pool, "core cluster dropped out"
 
@@ -176,7 +186,7 @@ class TestCdnTimelines:
         )
         africa_pool = frozenset(model.overflow_clusters[-1].pool)
         assert model.overflow_clusters[-1].region == "africa"
-        assert not (tl.union_all() & africa_pool)
+        assert not (union_all(tl) & africa_pool)
 
     def test_no_rotation_no_remap_is_static(self):
         model = make_cdn_model(rotation=0.0, remap=0.0, n_over=0)
@@ -191,7 +201,7 @@ class TestCdnTimelines:
     def test_at_most_one_event_per_hour(self):
         model = make_cdn_model(rotation=3.0, remap=0.3)
         tl = build_cdn_timeline(NAME, model, 24 * 2, random.Random(8))
-        hours = [e.hour for e in tl.events()]
+        hours = [e.hour for e in events(tl)]
         assert len(hours) == len(set(hours))
         assert max(tl.daily_event_counts()) <= 24
 

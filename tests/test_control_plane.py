@@ -10,7 +10,9 @@ Three parity obligations pinned here:
   each destination's table once whatever order requests come in;
 * the vectorized FIB derivation (``VantagePoint.next_hop_table``) must
   equal the per-prefix ``fib_best`` ranking over the reference oracle,
-  including under selective announcement;
+  including under selective announcement, and its FIB keys
+  (``frontier.fib_keys``) must order routes across prefixes exactly as
+  ``rank_key`` does — the order the content pass ranks address sets by;
 * batched convergence (``update_arrival_times``, ``expected_outage``
   and ``expected_outage_under_faults``) must be bit-identical to BFS
   hop distances and to per-source, per-probe delivery walks.
@@ -39,7 +41,13 @@ from repro.forwarding import ConvergenceSimulator
 from repro.net import IPv4Prefix
 from repro.engine import ArtifactCache
 from repro.experiments import SMALL_SCALE, World
-from repro.routing import RoutingOracle, VantagePoint, frontier
+from repro.routing import (
+    RoutingOracle,
+    VantagePoint,
+    frontier,
+    rank_key,
+    synthetic_med,
+)
 from repro.topology import (
     ASNode,
     ASTopology,
@@ -312,6 +320,93 @@ class TestNextHopTableParity:
         table = vp.next_hop_table(RoutingOracle(topo), [prefix])
         expected = next_hop_table(vp, ReferenceOracle(topo), [prefix])
         assert table.tolist() == expected.tolist() == [10]
+
+
+@st.composite
+def keyed_vantages(draw):
+    """An Internet and a collector holding customer, peer and provider
+    neighbors among its ASes (all three once it has three neighbors)."""
+    topo = draw(random_internet() | leafy_internet())
+    asns = sorted(topo.ases)
+    count = draw(st.integers(min(3, len(asns)), min(6, len(asns))))
+    neighbors = draw(st.lists(st.sampled_from(asns), min_size=count,
+                              max_size=count, unique=True))
+    relationships = draw(st.permutations(
+        [Relationship.CUSTOMER, Relationship.PEER, Relationship.PROVIDER]
+        * 2
+    ))
+    vp = VantagePoint(
+        name="collector", host_region="us-west",
+        neighbors=dict(zip(neighbors, relationships)),
+        selective_fraction=draw(st.sampled_from([0.0, 0.5, 1.0])),
+    )
+    return topo, vp
+
+
+def _compare(a, b) -> int:
+    return (a > b) - (a < b)
+
+
+class TestFibKeyOrder:
+    """FIB keys order routes across prefixes as ``rank_key`` does.
+
+    The content pass takes each address set's best port from the
+    minimum key over its prefixes, so it rests on this order, not only
+    on each prefix's winner. Dropping MED from the key fails the hand
+    case; reversing the neighbor-index tiebreak fails the hypothesis
+    test.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(keyed_vantages())
+    def test_keys_order_routes_as_rank_key(self, case):
+        topo, vp = case
+        allocated = _attach_prefixes(topo)
+        # Covered but unallocated: longer prefixes inside allocations,
+        # and one block nothing covers.
+        prefixes = allocated + [
+            IPv4Prefix(prefix.network | offset, length)
+            for prefix in allocated[::3]
+            for offset, length in ((64, 26), (128, 25))
+        ] + [IPv4Prefix(99 << 24, 24)]
+        keys = frontier.fib_keys(vp, RoutingOracle(topo), prefixes).tolist()
+        nbr_asns = frontier.rank_vectors(vp)[0].tolist()
+        reference = ReferenceOracle(topo)
+        best = [vp.fib_best(reference, prefix) for prefix in prefixes]
+        assert [key == -1 for key in keys] == [b is None for b in best]
+        assert min(keys) >= -1
+        routed = []
+        for key, route in zip(keys, best):
+            if route is not None:
+                assert nbr_asns[key % len(nbr_asns)] == route.next_hop
+                routed.append((key, rank_key(route)))
+        for key_a, rank_a in routed:
+            for key_b, rank_b in routed:
+                assert _compare(key_a, key_b) == _compare(rank_a, rank_b)
+
+    def test_med_alone_orders_two_prefixes(self):
+        # Origin 30's two prefixes reach the collector over its one
+        # provider, 20, on the same path: they tie on relationship and
+        # path length and differ only in MED.
+        topo = ASTopology()
+        topo.add_as(ASNode(20, Tier.T1, "us-west"))
+        topo.add_as(ASNode(30, Tier.STUB, "us-west"))
+        topo.add_customer_provider(30, 20)
+        plain = IPv4Prefix(10 << 24, 24)
+        marked = IPv4Prefix((10 << 24) | (43 << 8), 24)
+        for prefix in (plain, marked):
+            topo.assign_prefix(30, prefix)
+        assert synthetic_med(20, plain) == 0 < synthetic_med(20, marked)
+        vp = VantagePoint(name="collector", host_region="us-west",
+                          neighbors={20: Relationship.PROVIDER})
+        keys = frontier.fib_keys(vp, RoutingOracle(topo), [plain, marked])
+        plain_route, marked_route = (
+            vp.fib_best(ReferenceOracle(topo), prefix)
+            for prefix in (plain, marked)
+        )
+        assert plain_route.as_path == marked_route.as_path == (20, 30)
+        assert rank_key(plain_route) < rank_key(marked_route)
+        assert 0 <= keys[0] < keys[1]
 
 
 _GRAPHS = {

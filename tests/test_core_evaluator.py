@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.content import ContentMobilityEvent, AddressTimeline
 from repro.core import (
     ContentUpdateCostEvaluator,
     DeviceUpdateCostEvaluator,
@@ -16,6 +15,7 @@ from repro.mobility import MobilityEvent, NetworkLocation
 from repro.net import ContentName, parse_address, parse_prefix
 from repro.routing import RoutingOracle, VantagePoint
 from repro.topology import ASNode, ASTopology, Relationship, Tier
+from tests.reference.content import address_timeline, events
 
 
 def content_internet():
@@ -103,7 +103,7 @@ def timeline(name_text, sets):
     name = ContentName.from_domain(name_text)
     changes = [(h, frozenset(parse_address(a) for a in addrs))
                for h, addrs in sets]
-    return AddressTimeline(name, total_hours=48, changes=changes)
+    return address_timeline(name, total_hours=48, changes=changes)
 
 
 def measurement(timelines):
@@ -170,7 +170,7 @@ class TestContentEvaluator:
                          ForwardingStrategy.CONTROLLED_FLOODING):
             naive = sum(
                 1
-                for e in tl.events()
+                for e in events(tl)
                 if mapper.update_for_event(strategy, e.old_addrs, e.new_addrs)
             )
             evaluator = ContentUpdateCostEvaluator([vantage()], oracle)

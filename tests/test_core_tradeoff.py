@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.content import AddressTimeline
 from repro.core import ContentUpdateCostEvaluator, ForwardingStrategy
 from repro.core.tradeoff import evaluate_tradeoff
 from repro.measurement.vantage import (
@@ -14,6 +13,7 @@ from repro.measurement.vantage import (
 from repro.net import ContentName, parse_address, parse_prefix
 from repro.routing import RoutingOracle, VantagePoint
 from repro.topology import ASNode, ASTopology, Relationship, Tier
+from tests.reference.content import address_timeline
 
 
 def content_internet():
@@ -37,7 +37,7 @@ def timeline(name_text, sets, hours=48):
     changes = [
         (h, frozenset(parse_address(a) for a in addrs)) for h, addrs in sets
     ]
-    return AddressTimeline(name, total_hours=hours, changes=changes)
+    return address_timeline(name, total_hours=hours, changes=changes)
 
 
 def measurement(timelines):

@@ -101,7 +101,11 @@ class TestCoverageCensoring:
     def test_coverage_near_requested(self):
         oracle = RoutingOracle(generate_as_topology())
         pred = IPlanePredictor(oracle, coverage_fraction=0.05)
-        assert 0.01 <= pred.coverage_rate() <= 0.12
+        # A pair is answered only when both of its ASes are measured.
+        ases = sorted(oracle.topology.ases)
+        measured = sum(pred.is_measured(asn) for asn in ases)
+        pairs = len(ases) * (len(ases) - 1)
+        assert 0.01 <= measured * (measured - 1) / pairs <= 0.12
 
     def test_uncovered_pairs_unanswered(self):
         oracle = RoutingOracle(generate_as_topology())

@@ -22,6 +22,7 @@ from repro.measurement import (
 )
 from repro.routing import RoutingOracle
 from repro.topology import Relationship, generate_as_topology
+from tests.reference.content import set_at
 
 
 @pytest.fixture(scope="module")
@@ -89,8 +90,8 @@ class TestMeasurementController:
         for name in names[:20]:
             a = measurement.timeline(name)
             b = reversed_measurement.timeline(name)
-            assert [a.set_at(h) for h in range(0, 72, 5)] == [
-                b.set_at(h) for h in range(0, 72, 5)
+            assert [set_at(a, h) for h in range(0, 72, 5)] == [
+                set_at(b, h) for h in range(0, 72, 5)
             ]
 
 

@@ -1,10 +1,17 @@
-"""Tests for multihomed device timelines, built from segment rows."""
+"""Tests for multihomed device timelines, built from segment rows.
 
+Each timeline is an ``AddrsMatrix``; ``changes`` reads its rows back
+as ``(hour, frozenset)`` change points through the object reader in
+``tests/reference/content.py``.
+"""
+
+import numpy as np
 import pytest
 
 from repro.mobility import NetworkLocation, segment_table
 from repro.mobility.multihoming import build_multihomed_timeline
 from repro.net import parse_address, parse_prefix
+from tests.reference.content import points as changes
 
 
 def loc(ip, prefix, asn):
@@ -45,10 +52,10 @@ class TestSingleRadio:
             [(HOME, 8.0, "wifi"), (CELL, 8.0, "cellular"), (HOME, 8.0, "wifi")]
         )
         timeline = build_multihomed_timeline("u1", rows, dual_radio=False)
-        assert timeline.changes == [
+        assert changes(timeline) == [
             (0.0, sets(HOME)), (8.0, sets(CELL)), (16.0, sets(HOME)),
         ]
-        for _, addrs in timeline.changes:
+        for _, addrs in changes(timeline):
             assert len(addrs) == 1
 
     def test_events_match_ip_transitions(self):
@@ -57,8 +64,9 @@ class TestSingleRadio:
         )
         timeline = build_multihomed_timeline("u1", rows, dual_radio=False)
         # Two moves: one change point each after the initial set.
-        assert len(timeline.changes) - 1 == 2
-        assert timeline.user_id == "u1" and not timeline.dual_radio
+        assert timeline.num_events == 2
+        assert timeline.name == "u1"
+        assert timeline.hours.dtype == np.float64
 
 
 class TestDualRadio:
@@ -71,7 +79,7 @@ class TestDualRadio:
             "u1", rows, dual_radio=True, cellular_hold_hours=2.0
         )
         # During the WiFi hour the set holds both addresses.
-        assert timeline.changes == [
+        assert changes(timeline) == [
             (0.0, sets(CELL)), (8.0, sets(HOME, CELL)), (9.0, sets(CELL2)),
         ]
 
@@ -81,14 +89,14 @@ class TestDualRadio:
             "u1", rows, dual_radio=True, cellular_hold_hours=2.0
         )
         # The expiry is its own change point.
-        assert timeline.changes == [
+        assert changes(timeline) == [
             (0.0, sets(CELL)), (4.0, sets(HOME, CELL)), (6.0, sets(HOME)),
         ]
 
     def test_no_anchor_before_first_cellular(self):
         rows = make_day([(HOME, 8.0, "wifi"), (CELL, 16.0, "cellular")])
         timeline = build_multihomed_timeline("u1", rows, dual_radio=True)
-        assert timeline.changes == [(0.0, sets(HOME)), (8.0, sets(CELL))]
+        assert changes(timeline) == [(0.0, sets(HOME)), (8.0, sets(CELL))]
 
     def test_wifi_flap_keeps_best_anchor_constant(self):
         # home -> cell -> work -> cell: during work, the set still
@@ -100,7 +108,7 @@ class TestDualRadio:
         timeline = build_multihomed_timeline(
             "u1", rows, dual_radio=True, cellular_hold_hours=3.0
         )
-        assert timeline.changes == [
+        assert changes(timeline) == [
             (0.0, sets(HOME)), (6.0, sets(CELL)), (8.0, sets(WORK, CELL)),
             (9.0, sets(CELL2)),
         ]
@@ -111,7 +119,7 @@ class TestDualRadio:
             (0, 1, [(CELL, 24.0, "cellular")]),
         )
         timeline = build_multihomed_timeline("u1", rows, dual_radio=True)
-        assert timeline.changes == [(0.0, sets(HOME)), (24.0, sets(CELL))]
+        assert changes(timeline) == [(0.0, sets(HOME)), (24.0, sets(CELL))]
 
     def test_days_taken_in_day_order(self):
         rows = make_rows(
@@ -119,7 +127,7 @@ class TestDualRadio:
             (0, 0, [(HOME, 24.0, "wifi")]),
         )
         timeline = build_multihomed_timeline("u1", rows, dual_radio=True)
-        assert timeline.changes == [(0.0, sets(HOME)), (24.0, sets(CELL))]
+        assert changes(timeline) == [(0.0, sets(HOME)), (24.0, sets(CELL))]
 
     def test_events_have_changes(self):
         rows = make_day(
@@ -127,11 +135,12 @@ class TestDualRadio:
              (CELL2, 8.0, "cellular")]
         )
         timeline = build_multihomed_timeline("u1", rows, dual_radio=True)
-        assert timeline.changes == [
+        assert changes(timeline) == [
             (0.0, sets(CELL)), (8.0, sets(HOME, CELL)), (10.0, sets(HOME)),
             (16.0, sets(CELL2)),
         ]
-        for (_, old), (_, new) in zip(timeline.changes, timeline.changes[1:]):
+        points = changes(timeline)
+        for (_, old), (_, new) in zip(points, points[1:]):
             assert old != new
 
 

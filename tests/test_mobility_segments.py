@@ -40,6 +40,7 @@ from repro.workload import DeviceEventColumns
 from repro.workload.columns import SEGMENT_DTYPE, segment_moves
 from tests.reference import experiments as reference_experiments
 from tests.reference import mobility as reference
+from tests.reference.content import from_changes
 from tests.reference.mobility import DaySegment, UserDay
 
 #: The default ~400-AS Internet and a 2,124-AS one.
@@ -192,14 +193,19 @@ class TestTableReaders:
         for index, user_id in enumerate(workload.user_ids):
             # Every other user is dual-radio.
             dual = (index % 2 == 0) != flip
-            table = build_multihomed_timeline(
+            matrix = build_multihomed_timeline(
                 user_id, segments[segments["user"] == index], dual, hold
             )
             objects = reference.build_multihomed_timeline(
                 by_user[user_id], dual, hold
             )
-            assert table.changes == objects.changes
-            assert (table.user_id, table.dual_radio) == (user_id, dual)
+            expected = from_changes(user_id, objects.changes)
+            assert matrix.name == user_id
+            assert matrix.hours.dtype == expected.hours.dtype == np.float64
+            assert matrix.hours.tolist() == expected.hours.tolist()
+            assert matrix.addrs.dtype == expected.addrs.dtype
+            assert matrix.addrs.tolist() == expected.addrs.tolist()
+            assert np.array_equal(matrix.membership, expected.membership)
 
 
 def segments(rows):

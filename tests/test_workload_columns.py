@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.content import AddressTimeline
 from repro.mobility import (
     MobilityEvent,
     MobilityWorkloadConfig,
@@ -17,6 +16,12 @@ from repro.net import ContentName, IPv4Address, IPv4Prefix, parse_address
 from repro.topology import generate_as_topology
 from repro.workload import AddrsMatrix, DeviceEventColumns, EventColumns
 from repro.workload.columns import EVENT_DTYPE, unique_with_inverse
+from tests.reference.content import (
+    address_timeline,
+    change_points,
+    from_changes,
+    union_all,
+)
 
 
 @st.composite
@@ -150,40 +155,42 @@ class TestBatchAccessors:
 
 
 class TestAddrsMatrix:
+    CHANGES = [
+        (0, frozenset({parse_address("10.6.0.1")})),
+        (5, frozenset({parse_address("10.6.0.1"),
+                       parse_address("10.7.0.1")})),
+        (9, frozenset({parse_address("10.7.0.1")})),
+    ]
+
     def _timeline(self):
         name = ContentName.from_domain("a.com")
-        changes = [
-            (0, frozenset({parse_address("10.6.0.1")})),
-            (5, frozenset({parse_address("10.6.0.1"),
-                           parse_address("10.7.0.1")})),
-            (9, frozenset({parse_address("10.7.0.1")})),
-        ]
-        return AddressTimeline(name, total_hours=24, changes=changes)
+        return address_timeline(name, total_hours=24, changes=self.CHANGES)
 
-    def test_from_timeline_shape_and_counts(self):
+    def test_timeline_matrix_shape_and_counts(self):
         tl = self._timeline()
-        matrix = AddrsMatrix.from_timeline(tl)
+        matrix = tl.as_matrix()
         assert matrix.num_events == tl.num_changes() == 2
-        assert matrix.num_addrs == len(tl.union_all()) == 2
-        hours, membership = matrix.as_columns()
-        assert hours.tolist() == [0, 5, 9]
-        assert hours.dtype == np.int64
-        assert membership.shape == (3, 2)
+        assert matrix.num_addrs == len(union_all(tl)) == 2
+        assert matrix.hours.tolist() == [0, 5, 9]
+        assert matrix.hours.dtype == np.int64
+        assert matrix.addrs.dtype == np.int64
+        assert matrix.membership.shape == (3, 2)
 
-    def test_from_changes_keeps_float_hours(self):
+    def test_from_rows_keeps_float_hours(self):
         a, b = parse_address("10.6.0.1"), parse_address("10.7.0.1")
-        matrix = AddrsMatrix.from_changes(
-            "u", [(0.5, frozenset({a})), (2.25, frozenset({a, b}))]
+        matrix = AddrsMatrix.from_rows(
+            "u", [0.5, 2.25], [b.value, a.value], [0b10, 0b11]
         )
+        assert matrix.hours.dtype == np.float64
         assert matrix.hours.tolist() == [0.5, 2.25]
-        assert matrix.addrs == (a, b)
+        assert matrix.addrs.tolist() == [a.value, b.value]
         assert matrix.membership.tolist() == [[True, False], [True, True]]
+        self.assert_rows_equal_changes(
+            matrix, [(0.5, frozenset({a})), (2.25, frozenset({a, b}))]
+        )
 
     def test_rows_round_trip_to_sets(self):
-        tl = self._timeline()
-        matrix = AddrsMatrix.from_timeline(tl)
-        for row, (hour, _) in enumerate(tl.change_points()):
-            assert matrix.set_at_row(row) == tl.set_at(hour)
+        assert change_points(self._timeline()) == self.CHANGES
 
     def test_timeline_memoizes_matrix(self):
         tl = self._timeline()
@@ -192,23 +199,26 @@ class TestAddrsMatrix:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             AddrsMatrix(
-                "x", np.array([0]), (parse_address("10.6.0.1"),),
+                "x", np.array([0]),
+                np.array([parse_address("10.6.0.1").value], dtype=np.int64),
                 np.zeros((2, 1), dtype=bool),
             )
 
-    # from_rows: bitmask rows, bit j standing for addrs[j].
+    # from_rows: bitmask rows, bit j standing for values[j], held to the
+    # reference from_changes over the same sets.
 
     def assert_rows_equal_changes(self, matrix, points):
-        expected = AddrsMatrix.from_changes("x", points)
+        expected = from_changes("x", points)
         assert matrix.hours.dtype == expected.hours.dtype
         assert matrix.hours.tolist() == expected.hours.tolist()
-        assert matrix.addrs == expected.addrs
+        assert matrix.addrs.dtype == expected.addrs.dtype == np.int64
+        assert matrix.addrs.tolist() == expected.addrs.tolist()
         assert matrix.membership.dtype == np.bool_
         assert np.array_equal(matrix.membership, expected.membership)
 
     def test_from_rows_without_addresses(self):
         matrix = AddrsMatrix.from_rows("x", [0, 3], [], [0, 0])
-        assert matrix.addrs == ()
+        assert matrix.addrs.tolist() == []
         assert matrix.membership.shape == (2, 0)
         self.assert_rows_equal_changes(
             matrix, [(0, frozenset()), (3, frozenset())]
@@ -216,7 +226,9 @@ class TestAddrsMatrix:
 
     def test_from_rows_column_held_only_in_a_middle_row(self):
         a, b = parse_address("10.6.0.1"), parse_address("10.7.0.1")
-        matrix = AddrsMatrix.from_rows("x", [0, 4, 9], [a, b], [1, 3, 1])
+        matrix = AddrsMatrix.from_rows(
+            "x", [0, 4, 9], [a.value, b.value], [1, 3, 1]
+        )
         assert matrix.membership.tolist() == [
             [True, False], [True, True], [True, False],
         ]
@@ -228,23 +240,28 @@ class TestAddrsMatrix:
     def test_from_rows_sorts_addrs_and_drops_unheld_columns(self):
         a, b, c, d = (parse_address(f"10.6.0.{i}") for i in range(1, 5))
         matrix = AddrsMatrix.from_rows(
-            "x", [0, 2], [c, d, a, b], [0b0101, 0b1100]
+            "x", [0, 2], [c.value, d.value, a.value, b.value],
+            [0b0101, 0b1100],
         )
-        assert matrix.addrs == (a, b, c)
+        assert matrix.addrs.tolist() == [a.value, b.value, c.value]
         self.assert_rows_equal_changes(
             matrix, [(0, frozenset({c, a})), (2, frozenset({a, b}))]
         )
 
     def test_from_rows_more_than_64_columns(self):
         addrs = [IPv4Address((10 << 24) | i) for i in range(1, 71)]
-        hours = [0, 1, 5]
         rows = [1 | 1 << 63, 1 << 64 | 1 << 69, (1 << 70) - 1]
-        matrix = AddrsMatrix.from_rows("x", hours, addrs, rows)
-        assert matrix.num_addrs == 70
-        self.assert_rows_equal_changes(matrix, [
-            (hour, frozenset(a for j, a in enumerate(addrs) if row >> j & 1))
-            for hour, row in zip(hours, rows)
-        ])
+        # Whole content hours, and a device's fractional ones.
+        for hours in ([0, 1, 5], [0.0, 1.5, 5.25]):
+            matrix = AddrsMatrix.from_rows(
+                "x", hours, [a.value for a in addrs], rows
+            )
+            assert matrix.num_addrs == 70
+            self.assert_rows_equal_changes(matrix, [
+                (hour,
+                 frozenset(a for j, a in enumerate(addrs) if row >> j & 1))
+                for hour, row in zip(hours, rows)
+            ])
 
 
 def test_unique_with_inverse_is_flat():
